@@ -193,6 +193,13 @@ def _read_jsonl(path: str | Path) -> Iterable[tuple[int, dict]]:
             yield lineno, record
 
 
+def _first_record(path: str | Path) -> dict:
+    """The first record of a JSONL file, or {} when it has none."""
+    for _, record in _read_jsonl(path):
+        return record
+    return {}
+
+
 def load_triplets(path: str | Path) -> list[TripletExample]:
     """Read line-delimited triplet records {sent0, sent1, hard_neg}."""
     triplets = []
@@ -424,8 +431,9 @@ def load_source(path: str | Path, kind: str) -> list[Document]:
     """Load one manifest entry as documents, dispatching on kind and suffix.
 
     .txt files become paragraph documents of the given kind. For .jsonl,
-    kind "triplet" reads triplet records and flattens them; grammar kinds
-    read generated-sentence records; anything else reads document records.
+    kind "triplet" reads triplet records and flattens them; a grammar-kind
+    file whose first record has a "sentence" field reads generated-sentence
+    records; anything else reads document records.
     Kind "wiktionary" reads the CSV and renders each entry (headword,
     definition, examples) as one document.
     """
@@ -436,11 +444,9 @@ def load_source(path: str | Path, kind: str) -> list[Document]:
         return load_text_documents(p, kind)
     if kind == "triplet":
         return flatten_triplets(load_triplets(p))
-    if kind in ("grammar_gen", "grammar_book") and p.suffix == ".jsonl":
-        try:
-            examples = load_grammar_examples(p)
-        except ValueError:
-            return load_documents(p, source=kind)
+    if (kind in ("grammar_gen", "grammar_book") and p.suffix == ".jsonl"
+            and "sentence" in _first_record(p)):
+        examples = load_grammar_examples(p)
         return [Document(id=f"{p.stem}-{i:06d}", source=kind, text=ex.sentence)
                 for i, ex in enumerate(examples)]
     if kind == "wiktionary" and p.suffix == ".csv":

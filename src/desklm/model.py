@@ -111,6 +111,26 @@ def _layer_param_names(prefix: str, cross_attention: bool) -> list[tuple[str, st
     return names
 
 
+def _param_specs(config: ModelConfig) -> list[tuple[str, str, tuple[int, ...]]]:
+    """(name, kind, shape) of every parameter, in draw and checkpoint order."""
+    d, ff, v = config.d_model, config.d_ff, config.vocab_size
+    shapes = {"proj": (d, d), "bias": (d,), "ln_g": (d,), "ln_b": (d,),
+              "ffn_in": (d, ff), "ffn_bias": (ff,), "ffn_out": (ff, d)}
+    specs = [("tok_emb", "emb", (v, d)), ("pos_emb", "emb", (config.max_positions, d))]
+    for i in range(config.n_layers):
+        specs += [(name, kind, shapes[kind])
+                  for name, kind in _layer_param_names(f"enc.{i}", cross_attention=False)]
+    specs += [("enc_ln.g", "ln_g", (d,)), ("enc_ln.b", "ln_b", (d,)),
+              ("mlm.w", "head", (d, v)), ("mlm.b", "zeros", (v,))]
+    for i in range(config.decoder_layers):
+        specs += [(name, kind, shapes[kind])
+                  for name, kind in _layer_param_names(f"dec.{i}", cross_attention=True)]
+    if config.decoder_layers:
+        specs += [("dec_ln.g", "ln_g", (d,)), ("dec_ln.b", "ln_b", (d,)),
+                  ("dec_head.w", "head", (d, v)), ("dec_head.b", "zeros", (v,))]
+    return specs
+
+
 def init_params(config: ModelConfig) -> ParameterSet:
     """Draw parameters deterministically from config.seed.
 
@@ -120,40 +140,15 @@ def init_params(config: ModelConfig) -> ParameterSet:
     attached (same seed).
     """
     rng = np.random.default_rng(config.seed)
-    d, ff, v = config.d_model, config.d_ff, config.vocab_size
-
-    shapes = {"proj": (d, d), "bias": (d,), "ln_g": (d,), "ln_b": (d,),
-              "ffn_in": (d, ff), "ffn_bias": (ff,), "ffn_out": (ff, d)}
-
     tensors: dict[str, Tensor] = {}
-
-    def draw(name: str, kind: str, shape=None):
-        shape = shapes.get(kind, shape) if shape is None else shape
-        if kind in ("ln_g",):
+    for name, kind, shape in _param_specs(config):
+        if kind == "ln_g":
             data = np.ones(shape)
         elif kind in ("ln_b", "bias", "ffn_bias", "zeros"):
             data = np.zeros(shape)
         else:
             data = rng.normal(0.0, 0.02, size=shape)
         tensors[name] = Tensor(data, requires_grad=True)
-
-    draw("tok_emb", "emb", (v, d))
-    draw("pos_emb", "emb", (config.max_positions, d))
-    for i in range(config.n_layers):
-        for name, kind in _layer_param_names(f"enc.{i}", cross_attention=False):
-            draw(name, kind)
-    draw("enc_ln.g", "ln_g", (d,))
-    draw("enc_ln.b", "ln_b", (d,))
-    draw("mlm.w", "head", (d, v))
-    draw("mlm.b", "zeros", (v,))
-    for i in range(config.decoder_layers):
-        for name, kind in _layer_param_names(f"dec.{i}", cross_attention=True):
-            draw(name, kind)
-    if config.decoder_layers:
-        draw("dec_ln.g", "ln_g", (d,))
-        draw("dec_ln.b", "ln_b", (d,))
-        draw("dec_head.w", "head", (d, v))
-        draw("dec_head.b", "zeros", (v,))
     return ParameterSet(config, tensors)
 
 
@@ -376,20 +371,51 @@ def save_checkpoint(params: ParameterSet, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> ParameterSet:
+    """Read a checkpoint written by save_checkpoint.
+
+    Raises ValueError naming `path` when the tensor list differs from the
+    names and shapes the header's config implies, or when the tensor
+    section is truncated or followed by trailing bytes.
+    """
     blob = Path(path).read_bytes()
     if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a model checkpoint (bad magic)")
     off = len(CHECKPOINT_MAGIC)
+    if len(blob) < off + 4:
+        raise ValueError(f"{path}: truncated checkpoint header")
     (hlen,) = struct.unpack_from("<I", blob, off)
     off += 4
-    header = json.loads(blob[off: off + hlen].decode("utf-8"))
+    if len(blob) < off + hlen:
+        raise ValueError(f"{path}: truncated checkpoint header")
+    try:
+        header = json.loads(blob[off: off + hlen].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ValueError(f"{path}: malformed checkpoint header: {e}") from e
     off += hlen
-    if header.get("format_version") != CHECKPOINT_VERSION:
+    if not isinstance(header, dict) or header.get("format_version") != CHECKPOINT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version")
-    config = ModelConfig(**header["config"])
+    try:
+        config = ModelConfig(**header["config"])
+        listed = {name: tuple(shape) for name, shape in header["tensors"]}
+    except (KeyError, TypeError, ValueError) as e:
+        raise ValueError(f"{path}: malformed checkpoint header: {e!r}") from e
+    expected = {name: shape for name, _, shape in _param_specs(config)}
+    if len(listed) != len(header["tensors"]) or listed != expected:
+        wrong = sorted(n for n in listed.keys() | expected.keys()
+                       if listed.get(n) != expected.get(n))
+        raise ValueError(
+            f"{path}: tensors do not match the config; mismatched names: {wrong[:5]}"
+        )
+    sizes = [math.prod(shape) for shape in listed.values()]
+    data_bytes = 4 * sum(sizes)
+    if len(blob) - off != data_bytes:
+        what = "truncated tensor data" if len(blob) - off < data_bytes else "trailing bytes"
+        raise ValueError(
+            f"{path}: {what}: {len(blob) - off} bytes after the header, "
+            f"expected {data_bytes}"
+        )
     tensors: dict[str, Tensor] = {}
-    for name, shape in header["tensors"]:
-        n = int(np.prod(shape)) if shape else 1
+    for (name, shape), n in zip(listed.items(), sizes):
         arr = np.frombuffer(blob, dtype="<f4", count=n, offset=off).astype(np.float64)
         off += n * 4
         tensors[name] = Tensor(arr.reshape(shape), requires_grad=True)

@@ -9,6 +9,7 @@ training is fully deterministic.
 
 from __future__ import annotations
 
+import heapq
 import json
 import re
 from collections import Counter
@@ -132,15 +133,34 @@ def _word_forms(corpus: Iterable[Document]) -> Counter:
     return freq
 
 
-def train_subwords(corpus: Sequence[Document], vocab_size: int, seed: int = 0) -> SubwordModel:
+def _merge_symbols(sym: tuple[str, ...], a: str, b: str) -> tuple[str, ...]:
+    """Replace each (a, b) in `sym` with a + b, left to right, no overlaps."""
+    out: list[str] = []
+    i, n = 0, len(sym)
+    while i < n:
+        if i + 1 < n and sym[i] == a and sym[i + 1] == b:
+            out.append(a + b)
+            i += 2
+        else:
+            out.append(sym[i])
+            i += 1
+    return tuple(out)
+
+
+def train_subwords(corpus: Sequence[Document], vocab_size: int) -> SubwordModel:
     """Learn a byte-pair vocabulary of exactly `vocab_size` tokens.
 
     The vocabulary is the 6 special tokens, the corpus character alphabet,
     and (vocab_size - 6 - alphabet) merge products. Raises if the corpus
-    cannot support that many merges, stating the achievable size. `seed` is
-    accepted for interface uniformity; training itself is deterministic.
+    cannot support that many merges, stating the achievable size.
+
+    Pair counts are taken once and then updated per merge (Sennrich et al.
+    2016): a pair -> word index finds the words holding the merged pair,
+    and only those are rewritten and recounted. The next merge comes from
+    a heap of (-count, pair) entries, stale ones skipped when popped, so
+    the highest count wins and ties go to the lexicographically smallest
+    pair.
     """
-    del seed
     if not corpus:
         raise ValueError("corpus is empty")
     freq = _word_forms(corpus)
@@ -152,37 +172,52 @@ def train_subwords(corpus: Sequence[Document], vocab_size: int, seed: int = 0) -
         )
     n_merges = vocab_size - base
 
-    words: dict[tuple[str, ...], int] = {tuple(w): c for w, c in freq.items()}
+    words = [tuple(w) for w in freq]
+    counts = list(freq.values())
+    pair_counts: Counter = Counter()
+    where: dict[tuple[str, str], set[int]] = {}
+    for idx, sym in enumerate(words):
+        for pair in zip(sym, sym[1:]):
+            pair_counts[pair] += counts[idx]
+            where.setdefault(pair, set()).add(idx)
+    heap = [(-c, p) for p, c in pair_counts.items()]
+    heapq.heapify(heap)
+
     merges: list[tuple[str, str]] = []
     for step in range(n_merges):
-        pair_counts: Counter = Counter()
-        for sym, c in words.items():
-            for pair in zip(sym, sym[1:]):
-                pair_counts[pair] += c
-        if not pair_counts:
+        # an entry is current only while its count matches the table
+        while heap and pair_counts.get(heap[0][1]) != -heap[0][0]:
+            heapq.heappop(heap)
+        if not heap:
             raise ValueError(
                 f"corpus supports a vocabulary of at most {base + step} tokens, "
                 f"requested {vocab_size}"
             )
-        top = max(pair_counts.values())
-        best = min(p for p, c in pair_counts.items() if c == top)
+        best = heapq.heappop(heap)[1]
         merges.append(best)
         a, b = best
-        ab = a + b
-        rewritten: dict[tuple[str, ...], int] = {}
-        for sym, c in words.items():
-            out: list[str] = []
-            i = 0
-            while i < len(sym):
-                if i + 1 < len(sym) and sym[i] == a and sym[i + 1] == b:
-                    out.append(ab)
-                    i += 2
+        delta: Counter = Counter()
+        # the index may name words that lost the pair in an earlier rewrite
+        for idx in where.pop(best):
+            old = words[idx]
+            new = _merge_symbols(old, a, b)
+            if new == old:
+                continue
+            words[idx] = new
+            c = counts[idx]
+            for pair in zip(old, old[1:]):
+                delta[pair] -= c
+            for pair in zip(new, new[1:]):
+                delta[pair] += c
+                where.setdefault(pair, set()).add(idx)
+        for pair, d in delta.items():
+            if d:
+                c = pair_counts[pair] + d
+                if c:
+                    pair_counts[pair] = c
+                    heapq.heappush(heap, (-c, pair))
                 else:
-                    out.append(sym[i])
-                    i += 1
-            key = tuple(out)
-            rewritten[key] = rewritten.get(key, 0) + c
-        words = rewritten
+                    del pair_counts[pair]
 
     vocab = list(SPECIAL_TOKENS) + alphabet + [a + b for a, b in merges]
     return SubwordModel(vocab, merges)

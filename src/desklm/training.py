@@ -117,13 +117,18 @@ def apply_mlm_masking(example: np.ndarray, mcfg: MaskingConfig,
     return masked, labels
 
 
-def lr_at(step: int, cfg: TrainingConfig, total_steps: int) -> float:
-    """Linear warmup to learning_rate at warmup_steps, then linear decay
-    to zero at total_steps. Continuous and piecewise-linear."""
+def _check_schedule(cfg: TrainingConfig, total_steps: int) -> None:
+    """Raise unless warm-up ends before the last step."""
     if total_steps <= cfg.warmup_steps:
         raise ValueError(
             f"total_steps ({total_steps}) must exceed warmup_steps ({cfg.warmup_steps})"
         )
+
+
+def lr_at(step: int, cfg: TrainingConfig, total_steps: int) -> float:
+    """Linear warmup to learning_rate at warmup_steps, then linear decay
+    to zero at total_steps. Continuous and piecewise-linear."""
+    _check_schedule(cfg, total_steps)
     if step < 0:
         raise ValueError("step must be non-negative")
     if step <= cfg.warmup_steps:
@@ -248,6 +253,7 @@ def train_mlm(docs: Sequence[Document], subwords: SubwordModel,
         raise ValueError("corpus packed to zero examples")
     steps_per_epoch = math.ceil(n / cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
+    _check_schedule(cfg, total_steps)
     manifest = _run_manifest("mlm", docs, n, total_steps, model_cfg, cfg, mcfg)
     tlog = TrainLog(manifest)
 
@@ -416,6 +422,7 @@ def train_multi_objective(docs: Sequence[Document], subwords: SubwordModel,
         raise ValueError("corpus packed to zero examples")
     steps_per_epoch = math.ceil(n / cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
+    _check_schedule(cfg, total_steps)
     manifest = _run_manifest(f"mlm+{objective}", docs, n, total_steps, model_cfg, cfg, mcfg)
     manifest["n_aux_items"] = len(usable)
     manifest["aux_weight"] = cfg.aux_weight

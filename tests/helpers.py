@@ -7,11 +7,15 @@ agreement between the two is meaningful.
 
 from __future__ import annotations
 
+from collections import Counter
+from typing import Sequence
+
 import numpy as np
 
 from desklm import model as mdl
 from desklm.corpus import Document
-from desklm.subwords import SubwordModel, MASK_ID
+from desklm.subwords import (NUM_SPECIALS, SPECIAL_TOKENS, SubwordModel, MASK_ID,
+                             _word_forms)
 
 _ONSETS = ["b", "d", "f", "g", "k", "l", "m", "n", "p", "r", "s", "t", "v", "z",
            "bl", "br", "dr", "fl", "gr", "kr", "pl", "pr", "sk", "sl", "sm",
@@ -53,6 +57,60 @@ def make_pseudo_corpus(n_sentences: int, seed: int, lexicon_size: int = 800,
         docs.append(Document(id=f"pseudo-{i:05d}", source="unconstrained",
                              text=" ".join(words[j] for j in picks)))
     return docs
+
+
+def reference_train_subwords(corpus: Sequence[Document], vocab_size: int) -> SubwordModel:
+    """Reference BPE: recount every adjacent pair of every word for each merge.
+
+    Same contract as `subwords.train_subwords` (highest count first, then
+    the lexicographically smallest pair; left-to-right non-overlapping
+    rewrites; the same errors), at merges x word-forms cost.
+    """
+    if not corpus:
+        raise ValueError("corpus is empty")
+    freq = _word_forms(corpus)
+    alphabet = sorted({c for w in freq for c in w})
+    base = NUM_SPECIALS + len(alphabet)
+    if vocab_size <= base:
+        raise ValueError(
+            f"vocab_size must exceed specials + alphabet = {base}, got {vocab_size}"
+        )
+    n_merges = vocab_size - base
+
+    words: dict[tuple[str, ...], int] = {tuple(w): c for w, c in freq.items()}
+    merges: list[tuple[str, str]] = []
+    for step in range(n_merges):
+        pair_counts: Counter = Counter()
+        for sym, c in words.items():
+            for pair in zip(sym, sym[1:]):
+                pair_counts[pair] += c
+        if not pair_counts:
+            raise ValueError(
+                f"corpus supports a vocabulary of at most {base + step} tokens, "
+                f"requested {vocab_size}"
+            )
+        top = max(pair_counts.values())
+        best = min(p for p, c in pair_counts.items() if c == top)
+        merges.append(best)
+        a, b = best
+        ab = a + b
+        rewritten: dict[tuple[str, ...], int] = {}
+        for sym, c in words.items():
+            out: list[str] = []
+            i = 0
+            while i < len(sym):
+                if i + 1 < len(sym) and sym[i] == a and sym[i + 1] == b:
+                    out.append(ab)
+                    i += 2
+                else:
+                    out.append(sym[i])
+                    i += 1
+            key = tuple(out)
+            rewritten[key] = rewritten.get(key, 0) + c
+        words = rewritten
+
+    vocab = list(SPECIAL_TOKENS) + alphabet + [a + b for a, b in merges]
+    return SubwordModel(vocab, merges)
 
 
 def brute_force_pll(params: mdl.ParameterSet, subwords: SubwordModel,

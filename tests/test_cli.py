@@ -296,6 +296,18 @@ def test_train_reuses_existing_subwords(tmp_path, corpus_path, mlm_run):
             == (mlm_run / cli.CHECKPOINT_NAME).read_bytes())
 
 
+def test_train_default_warmup_on_tiny_corpus_is_data_error(tmp_path, corpus_path,
+                                                          monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("ran the encoder before the schedule check")
+    monkeypatch.setattr(mdl, "encoder_forward", never)
+    code = cli.main(["train", "--mlm", "--corpus", str(corpus_path),
+                     "--out-dir", str(tmp_path / "run"), "--epochs", "2"]
+                    + TINY_MODEL_FLAGS)
+    assert code == cli.EXIT_DATA
+    assert "must exceed warmup_steps (4000)" in capsys.readouterr().err
+
+
 def test_train_mlm_wikt_strips_decoder(tmp_path, corpus_path):
     lexicon = make_pseudo_corpus(1, seed=11, lexicon_size=40)[0].text.split()
     csv_path = tmp_path / "dict.csv"

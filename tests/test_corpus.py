@@ -265,6 +265,22 @@ class TestLoadSource:
         assert [d.text for d in docs] == ["a b c"]
         assert docs[0].source == "grammar_gen"
 
+    def test_grammar_jsonl_bad_tag_names_value(self, tmp_path):
+        path = tmp_path / "g.jsonl"
+        path.write_text('{"sentence": "a b c", "topic": "t", '
+                        '"tags": [{"notion": "negation", "value": "maybe"}]}\n')
+        with pytest.raises(ValueError) as err:
+            cp.load_source(path, "grammar_gen")
+        message = str(err.value)
+        assert str(path) in message and "line 1" in message and "'maybe'" in message
+        assert "missing field" not in message
+
+    def test_grammar_kind_document_records(self, tmp_path):
+        path = tmp_path / "g.jsonl"
+        cp.save_documents(path, [cp.Document(id="x", source="grammar_gen", text="d e")])
+        docs = cp.load_source(path, "grammar_book")
+        assert [(d.id, d.text, d.source) for d in docs] == [("x", "d e", "grammar_book")]
+
     def test_wiktionary_csv(self, tmp_path):
         path = tmp_path / "w.csv"
         cp.write_wiktionary_csv(path, [

@@ -1,5 +1,8 @@
 """Encoder/decoder architecture: masking exactness, init, checkpoints."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -455,6 +458,75 @@ class TestStripAndCheckpoint:
         blob[idx + len(b'"format_version": '):idx + len(b'"format_version": ') + 1] = b"9"
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="version"):
+            mdl.load_checkpoint(path)
+
+    @pytest.mark.parametrize("kind", ["encoder", "decoder", "stripped"])
+    def test_checkpoint_round_trip_bit_exact(self, kind, tmp_path):
+        p = mdl.init_params(tiny_config(decoder_layers=0 if kind == "encoder" else 2,
+                                        seed=5))
+        if kind == "stripped":
+            p = mdl.strip_decoder(p)
+        path = tmp_path / "m.bin"
+        mdl.save_checkpoint(p, path)
+        loaded = mdl.load_checkpoint(path)
+        assert loaded.config == p.config and loaded.names() == p.names()
+        for name, t in p.items():
+            assert loaded[name].data.tobytes() == \
+                t.data.astype("<f4").astype(np.float64).tobytes()
+        again = tmp_path / "again.bin"
+        mdl.save_checkpoint(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    @staticmethod
+    def _rewrite_header(path, edit):
+        blob = path.read_bytes()
+        off = len(mdl.CHECKPOINT_MAGIC)
+        (hlen,) = struct.unpack_from("<I", blob, off)
+        header = json.loads(blob[off + 4: off + 4 + hlen])
+        edit(header)
+        raw = json.dumps(header, sort_keys=True).encode("utf-8")
+        path.write_bytes(blob[:off] + struct.pack("<I", len(raw)) + raw
+                         + blob[off + 4 + hlen:])
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "m.bin"
+        mdl.save_checkpoint(mdl.init_params(tiny_config()), path)
+        path.write_bytes(path.read_bytes() + b"garbage")
+        with pytest.raises(ValueError, match="trailing bytes") as err:
+            mdl.load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    def test_truncated_tensor_data_rejected(self, tmp_path):
+        path = tmp_path / "m.bin"
+        mdl.save_checkpoint(mdl.init_params(tiny_config()), path)
+        path.write_bytes(path.read_bytes()[:-4])
+        with pytest.raises(ValueError, match="truncated") as err:
+            mdl.load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    def test_wrong_shape_rejected(self, tmp_path):
+        # same element count, so only the shape check can catch it
+        path = tmp_path / "m.bin"
+        mdl.save_checkpoint(mdl.init_params(tiny_config()), path)
+
+        def reshape_ln(header):
+            for entry in header["tensors"]:
+                if entry[0] == "enc_ln.g":
+                    entry[1] = [4, 2]
+        self._rewrite_header(path, reshape_ln)
+        with pytest.raises(ValueError, match="enc_ln.g") as err:
+            mdl.load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    def test_tensor_list_must_match_config(self, tmp_path):
+        # a decoder-less config cannot carry decoder tensors
+        path = tmp_path / "m.bin"
+        mdl.save_checkpoint(mdl.init_params(tiny_config(decoder_layers=1)), path)
+
+        def drop_decoder(header):
+            header["config"]["decoder_layers"] = 0
+        self._rewrite_header(path, drop_decoder)
+        with pytest.raises(ValueError, match="do not match the config"):
             mdl.load_checkpoint(path)
 
     def test_loaded_checkpoint_is_trainable(self, tmp_path):

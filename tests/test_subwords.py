@@ -6,6 +6,8 @@ import pytest
 from desklm import subwords as sw
 from desklm.corpus import Document
 
+from helpers import make_pseudo_corpus, reference_train_subwords
+
 
 def _docs(*texts):
     return [Document(id=f"d{i}", text=t, source="unconstrained")
@@ -62,12 +64,95 @@ class TestTraining:
         with pytest.raises(ValueError, match="empty"):
             sw.train_subwords([], 10)
 
-    def test_deterministic_and_seed_ignored(self):
+    def test_deterministic(self, tmp_path):
         docs = _docs("a man a plan a canal", "panama bananas")
-        m1 = sw.train_subwords(docs, 25, seed=0)
-        m2 = sw.train_subwords(docs, 25, seed=99)
+        m1 = sw.train_subwords(docs, 25)
+        m2 = sw.train_subwords(docs, 25)
         assert m1.id_to_token == m2.id_to_token
         assert m1.merges == m2.merges
+        m1.save(tmp_path / "1.json")
+        m2.save(tmp_path / "2.json")
+        assert (tmp_path / "1.json").read_bytes() == (tmp_path / "2.json").read_bytes()
+
+
+def _random_texts(seed, n_docs, alphabet, max_word):
+    """Short texts over a tiny alphabet: many self-pairs, overlaps and ties."""
+    rng = np.random.default_rng(seed)
+    return ["".join(rng.choice(list(alphabet), size=int(rng.integers(1, max_word + 1))))
+            + "".join(" " + "".join(rng.choice(list(alphabet),
+                                               size=int(rng.integers(1, max_word + 1))))
+                      for _ in range(int(rng.integers(0, 6))))
+            for _ in range(n_docs)]
+
+
+class TestIncrementalMatchesRecount:
+    """train_subwords updates pair counts per merge; the recount oracle in
+    helpers recounts the corpus for every merge. Both must agree exactly,
+    down to the saved bytes and the capacity error."""
+
+    @staticmethod
+    def _assert_same(docs, vocab_size, tmp_path):
+        try:
+            want = reference_train_subwords(docs, vocab_size)
+        except ValueError as e:
+            with pytest.raises(ValueError) as got:
+                sw.train_subwords(docs, vocab_size)
+            assert str(got.value) == str(e)
+            return str(e)
+        got = sw.train_subwords(docs, vocab_size)
+        assert got.merges == want.merges
+        assert got.id_to_token == want.id_to_token
+        want.save(tmp_path / "want.json")
+        got.save(tmp_path / "got.json")
+        assert (tmp_path / "got.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+        return None
+
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    @pytest.mark.parametrize("vocab_size", [60, 250, 700])
+    def test_pseudo_corpora(self, seed, vocab_size, tmp_path):
+        docs = make_pseudo_corpus(150, seed, lexicon_size=300)
+        assert self._assert_same(docs, vocab_size, tmp_path) is None
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_tiny_alphabets(self, seed, tmp_path):
+        texts = _random_texts(seed, n_docs=12, alphabet="ab" if seed % 2 else "abc",
+                              max_word=9)
+        docs = _docs(*texts)
+        for vocab_size in (12, 20, 40, 400):
+            self._assert_same(docs, vocab_size, tmp_path)
+
+    def test_overlapping_self_pairs(self, tmp_path):
+        # "aaaa" -> [aa, aa], "aaa" -> [aa, a]: runs merge left to right
+        docs = _docs("aaaa aaa", "aaaaaaa a aa")
+        for vocab_size in range(9, 16):
+            self._assert_same(docs, vocab_size, tmp_path)
+        assert sw.train_subwords(_docs("aaaa aaa"), 9).merges == [("a", "a")]
+
+    def test_all_ties(self, tmp_path):
+        # every adjacent pair occurs exactly once
+        docs = _docs("ab cd ef gh", "ij kl mn op")
+        for vocab_size in range(25, 33):
+            self._assert_same(docs, vocab_size, tmp_path)
+        assert sw.train_subwords(docs, 26).merges[0] == (" ", "c")
+
+    def test_words_collapse_to_one_symbol(self, tmp_path):
+        # "ab" becomes one symbol after the first merge and then has no
+        # pairs left, while the longer words keep merging
+        docs = _docs("ab ab ab abab ababab abc")
+        for vocab_size in range(10, 20):
+            self._assert_same(docs, vocab_size, tmp_path)
+
+    @pytest.mark.parametrize("texts, capacity", [
+        (("ab",), 9),
+        (("aaaa aaa",), 12),
+        (("ab cd ab", "abcd"), 16),
+    ])
+    def test_capacity_error_at_same_step(self, texts, capacity, tmp_path):
+        docs = _docs(*texts)
+        assert self._assert_same(docs, capacity, tmp_path) is None
+        message = self._assert_same(docs, capacity + 1, tmp_path)
+        assert message == (f"corpus supports a vocabulary of at most {capacity} tokens, "
+                           f"requested {capacity + 1}")
 
 
 class TestEncoding:

@@ -277,6 +277,16 @@ class TestTrainMLM:
                          tiny_model(vocab_size=80),
                          tiny_training(context_size=65))
 
+    def test_schedule_checked_before_first_step(self, small_corpus, small_subwords,
+                                                monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("ran a model call before the schedule check")
+        monkeypatch.setattr(mdl, "init_params", never)
+        monkeypatch.setattr(mdl, "encoder_forward", never)
+        with pytest.raises(ValueError, match=r"must exceed warmup_steps \(4000\)"):
+            tr.train_mlm(small_corpus, small_subwords, tiny_model(vocab_size=80),
+                         tiny_training(warmup_steps=4000))
+
     def test_manifest_and_log_contents(self, small_corpus, small_subwords):
         params, tlog = tr.train_mlm(small_corpus, small_subwords,
                                     tiny_model(vocab_size=80), tiny_training())
@@ -475,6 +485,18 @@ class TestMultiObjective:
                                      "tagging",
                                      tiny_model(vocab_size=95, decoder_layers=1),
                                      tiny_training())
+
+    def test_schedule_checked_before_first_step(self, mo_docs, grammar_subwords,
+                                                monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("ran a model call before the schedule check")
+        monkeypatch.setattr(mdl, "init_params", never)
+        monkeypatch.setattr(mdl, "encoder_forward", never)
+        with pytest.raises(ValueError, match=r"must exceed warmup_steps \(4000\)"):
+            tr.train_multi_objective(mo_docs, grammar_subwords,
+                                     self._grammar_items(grammar_subwords), "grammar",
+                                     tiny_model(vocab_size=95, decoder_layers=1),
+                                     tiny_training(warmup_steps=4000))
 
     def test_all_items_too_long(self, mo_docs, grammar_subwords, caplog):
         long_item = tr.AuxItem(enc_ids=[7] * 200, mem_index=None,
