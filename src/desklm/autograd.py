@@ -51,10 +51,14 @@ class Tensor:
         return self.data.ndim
 
     def _accumulate(self, g: np.ndarray) -> None:
+        """Add g to this tensor's gradient; the first g is kept, not copied.
+
+        The tensor then owns g and later gradients are summed into it in
+        place, so a backward closure hands any one array to at most one
+        input, and only after its own last read of it.
+        """
         if self.grad is None:
-            # a copy, never g itself: one array may reach several inputs
-            # (add hands g to both) and later sums would write through it
-            self.grad = np.array(g, dtype=np.float64)
+            self.grad = g
         else:
             self.grad += g
 
@@ -123,7 +127,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             a._accumulate(_unbroadcast(g, a.data.shape))
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
+            gb = _unbroadcast(g, b.data.shape)
+            # a kept g as its first gradient: b gets its own copy
+            b._accumulate(gb.copy() if a.grad is gb else gb)
 
     return _make(out, (a, b), bwd)
 
@@ -189,10 +195,6 @@ def _matmul_rows(a: Tensor, b: Tensor) -> Tensor:
             b._accumulate(a.data.reshape(-1, k).T @ g2)
 
     return _make(out, (a, b), bwd)
-
-
-def transpose_last(a: Tensor) -> Tensor:
-    return swapaxes(a, -1, -2)
 
 
 def swapaxes(a: Tensor, axis1: int, axis2: int) -> Tensor:
@@ -296,15 +298,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     out = gain.data * xhat + bias.data
 
     def bwd(g):
-        if bias.requires_grad:
-            bias._accumulate(_unbroadcast(g, bias.data.shape))
-        if gain.requires_grad:
-            gain._accumulate(_unbroadcast(g * xhat, gain.data.shape))
         if x.requires_grad:
             gx = g * gain.data
             m1 = gx.mean(axis=-1, keepdims=True)
             m2 = (gx * xhat).mean(axis=-1, keepdims=True)
             x._accumulate(inv * (gx - m1 - xhat * m2))
+        if gain.requires_grad:
+            gain._accumulate(_unbroadcast(g * xhat, gain.data.shape))
+        if bias.requires_grad:
+            # last: bias may receive g itself, which the lines above read
+            bias._accumulate(_unbroadcast(g, bias.data.shape))
 
     return _make(out, (x, gain, bias), bwd)
 

@@ -42,16 +42,20 @@ class MinimalPair:
 
 
 class EvalReport:
-    """Per-phenomenon correct/total counts plus identifying strings."""
+    """Per-phenomenon correct/total counts of the scored pairs, the number
+    of pairs skipped as too long for the model, and identifying strings."""
 
     def __init__(self, model_id: str, pairs_id: str,
-                 counts: dict[str, tuple[int, int]]):
+                 counts: dict[str, tuple[int, int]], skipped: int = 0):
         for name, (correct, total) in counts.items():
             if not 0 <= correct <= total:
                 raise ValueError(f"bad counts for {name!r}: {correct}/{total}")
+        if skipped < 0:
+            raise ValueError(f"bad skipped count: {skipped}")
         self.model_id = model_id
         self.pairs_id = pairs_id
         self.counts = {k: (int(c), int(t)) for k, (c, t) in counts.items()}
+        self.skipped = int(skipped)
 
     def accuracy(self, phenomenon: str) -> float:
         c, t = self.counts[phenomenon]
@@ -76,6 +80,7 @@ class EvalReport:
             },
             "macro_average": self.macro_average,
             "pair_count": self.pair_count,
+            "skipped": self.skipped,
         }
         return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -84,7 +89,7 @@ class EvalReport:
         obj = json.loads(text)
         counts = {name: (rec["correct"], rec["total"])
                   for name, rec in obj["phenomena"].items()}
-        report = cls(obj["model"], obj["pairs"], counts)
+        report = cls(obj["model"], obj["pairs"], counts, obj["skipped"])
         if report.pair_count != obj["pair_count"]:
             raise ValueError("pair_count does not match per-phenomenon totals")
         return report
@@ -96,6 +101,8 @@ class EvalReport:
             lines.append(f"{name:<{width}}  {c:>7d}  {t:>5d}  {c / t:8.4f}")
         lines.append(f"{'macro average':<{width}}  {'':>7}  {self.pair_count:>5d}  "
                      f"{self.macro_average:8.4f}")
+        if self.skipped:
+            lines.append(f"skipped {self.skipped} over-length pairs")
         return "\n".join(lines) + "\n"
 
 
@@ -115,10 +122,10 @@ def pseudo_log_likelihood(params: ParameterSet, subwords: SubwordModel,
     np.fill_diagonal(batch, MASK_ID)
     with ag.no_grad():
         out = mdl.encoder_forward(params, batch, np.ones_like(batch, dtype=bool))
-        logits = mdl.mlm_logits(params, out)
-    diag = logits.data[np.arange(n), np.arange(n)]          # (n, V)
-    logp = diag - diag.max(axis=-1, keepdims=True)
-    logp = logp - np.log(np.exp(logp).sum(axis=-1, keepdims=True))
+        # the head sees only row i of copy i, the masked position
+        flat = ag.reshape(out.hidden, (n * n, params.config.d_model))
+        diag = ag.gather_rows(flat, np.arange(n) * (n + 1))
+        logp = ag.log_probs(mdl.mlm_logits(params, diag))
     return float(logp[np.arange(n), arr].sum())
 
 
@@ -129,17 +136,36 @@ def score_pair(params: ParameterSet, subwords: SubwordModel,
             > pseudo_log_likelihood(params, subwords, pair.bad))
 
 
+def _sentences(pairs: Sequence[MinimalPair]) -> list[str]:
+    """Distinct sentences of the pairs, in order of first appearance."""
+    return list(dict.fromkeys(s for p in pairs for s in (p.good, p.bad)))
+
+
 def evaluate_suite(params: ParameterSet, subwords: SubwordModel,
                    pairs: Sequence[MinimalPair], model_id: str = "",
                    pairs_id: str = "") -> EvalReport:
+    """Score every pair, each distinct sentence once.
+
+    A pair with a sentence longer than the model's positions is skipped
+    and counted as such; a phenomenon whose pairs were all skipped is left
+    out of the report. Raises when every pair is skipped.
+    """
     if not pairs:
         raise ValueError("no pairs to evaluate")
+    limit = params.config.max_positions
+    length = {s: len(subwords.encode(s)) for s in _sentences(pairs)}
+    scored = [p for p in pairs if max(length[p.good], length[p.bad]) <= limit]
+    if not scored:
+        raise ValueError(f"all {len(pairs)} pairs have a sentence longer than "
+                         f"the model's {limit} positions")
+    pll = {s: pseudo_log_likelihood(params, subwords, s) for s in _sentences(scored)}
     counts: dict[str, list[int]] = {}
-    for pair in pairs:
+    for pair in scored:
         c = counts.setdefault(pair.phenomenon, [0, 0])
-        c[0] += int(score_pair(params, subwords, pair))
+        c[0] += int(pll[pair.good] > pll[pair.bad])
         c[1] += 1
-    return EvalReport(model_id, pairs_id, {k: (c, t) for k, (c, t) in counts.items()})
+    return EvalReport(model_id, pairs_id, {k: (c, t) for k, (c, t) in counts.items()},
+                      skipped=len(pairs) - len(scored))
 
 
 # -- synthetic minimal pairs --------------------------------------------------

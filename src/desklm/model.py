@@ -170,7 +170,7 @@ def _attention(p: ParameterSet, prefix: str, x: Tensor, kv: Tensor,
     k = to_heads(ag.add(ag.matmul(kv, p[f"{prefix}.wk"]), p[f"{prefix}.bk"]), tk)
     v = to_heads(ag.add(ag.matmul(kv, p[f"{prefix}.wv"]), p[f"{prefix}.bv"]), tk)
 
-    scores = ag.scale(ag.matmul(q, ag.transpose_last(k)), 1.0 / math.sqrt(dh))
+    scores = ag.scale(ag.matmul(q, ag.swapaxes(k, -1, -2)), 1.0 / math.sqrt(dh))
     probs = ag.softmax_masked(scores, additive_mask)
     if probs_out is not None:
         probs_out.append(probs.data)

@@ -141,19 +141,28 @@ def lr_at(step: int, cfg: TrainingConfig, total_steps: int) -> float:
 
 
 class AdamWState:
-    """First/second moment estimates and the shared step counter."""
+    """First/second moment estimates and the shared step counter, plus two
+    scratch rows, each as large as the largest parameter, that every
+    update reuses."""
 
     def __init__(self, params: ParameterSet):
         self.m = {n: np.zeros_like(t.data) for n, t in params.items()}
         self.v = {n: np.zeros_like(t.data) for n, t in params.items()}
         self.t = 0
+        self.scratch = np.empty((2, max(t.data.size for _, t in params.items())))
 
 
 def adamw_step(params: ParameterSet, grads: dict[str, np.ndarray],
                state: AdamWState, lr: float,
                cfg: TrainingConfig) -> tuple[ParameterSet, AdamWState]:
     """One AdamW update with bias correction; decoupled weight decay is
-    applied to weight matrices only (ndim >= 2), not norms or biases."""
+    applied to weight matrices only (ndim >= 2), not norms or biases.
+
+    Works in place, in the operation order of the textbook expressions
+    m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+    p -= lr ((m / bc1) / (sqrt(v / bc2) + eps) + wd p), so its results
+    are bit-identical to evaluating them out of place.
+    """
     for g in grads.values():
         if not np.all(np.isfinite(g)):
             raise ValueError("non-finite gradient")
@@ -164,14 +173,21 @@ def adamw_step(params: ParameterSet, grads: dict[str, np.ndarray],
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
+        tmp, update = (row[: t.data.size].reshape(t.data.shape) for row in state.scratch)
         m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
+        m += np.multiply(g, 1.0 - cfg.beta1, out=tmp)
         v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        np.multiply(g, 1.0 - cfg.beta2, out=tmp)
+        v += np.multiply(tmp, g, out=tmp)
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += cfg.eps
+        np.divide(m, bc1, out=update)
+        update /= tmp
         if t.data.ndim >= 2:
-            update = update + cfg.weight_decay * t.data
-        t.data -= lr * update
+            update += np.multiply(t.data, cfg.weight_decay, out=tmp)
+        update *= lr
+        t.data -= update
     return params, state
 
 
@@ -228,12 +244,14 @@ def _mlm_step_loss(params: ParameterSet, batch: np.ndarray, mcfg: MaskingConfig,
     """Forward one MLM batch; None when masking selected nothing."""
     v = params.config.vocab_size
     masked, labels = apply_mlm_masking(batch, mcfg, mask_rng, v)
-    if not np.any(labels != IGNORE_INDEX):
+    # the head sees the labelled rows only: unlabelled logits reach no loss
+    rows = np.flatnonzero(labels != IGNORE_INDEX)
+    if rows.size == 0:
         return None
     out = mdl.encoder_forward(params, masked, batch != PAD_ID, dropout_rng)
-    logits = mdl.mlm_logits(params, out)
-    b, t, _ = logits.shape
-    return ag.cross_entropy(ag.reshape(logits, (b * t, v)), labels.reshape(-1))
+    b, t, d = out.hidden.shape
+    picked = ag.gather_rows(ag.reshape(out.hidden, (b * t, d)), rows)
+    return ag.cross_entropy(mdl.mlm_logits(params, picked), labels.reshape(-1)[rows])
 
 
 def train_mlm(docs: Sequence[Document], subwords: SubwordModel,

@@ -113,6 +113,30 @@ def reference_train_subwords(corpus: Sequence[Document], vocab_size: int) -> Sub
     return SubwordModel(vocab, merges)
 
 
+def reference_adamw_step(params: mdl.ParameterSet, grads: dict, state, lr: float,
+                         cfg) -> None:
+    """Reference AdamW: the update written out of place, one temporary per
+    term, in the operation order `training.adamw_step` keeps in place."""
+    for g in grads.values():
+        if not np.all(np.isfinite(g)):
+            raise ValueError("non-finite gradient")
+    state.t += 1
+    bc1 = 1.0 - cfg.beta1 ** state.t
+    bc2 = 1.0 - cfg.beta2 ** state.t
+    for name, t in params.items():
+        g = grads[name]
+        m = state.m[name]
+        v = state.v[name]
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * g
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * g * g
+        update = (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        if t.data.ndim >= 2:
+            update = update + cfg.weight_decay * t.data
+        t.data -= lr * update
+
+
 def brute_force_pll(params: mdl.ParameterSet, subwords: SubwordModel,
                     sentence: str) -> float:
     """Reference PLL: one unbatched forward pass per masked position."""

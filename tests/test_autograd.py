@@ -115,12 +115,12 @@ class TestShapes:
         w = RNG.normal(size=24)
         gradcheck(lambda x: weighted_sum(ag.swapaxes(x, 0, 2), w), [a])
 
-    def test_transpose_last(self):
+    def test_swapaxes_last_two(self):
         a = RNG.normal(size=(2, 3, 4))
-        out = ag.transpose_last(ag.constant(a))
+        out = ag.swapaxes(ag.constant(a), -1, -2)
         np.testing.assert_array_equal(out.data, np.swapaxes(a, -1, -2))
         w = RNG.normal(size=24)
-        gradcheck(lambda x: weighted_sum(ag.transpose_last(x), w), [a])
+        gradcheck(lambda x: weighted_sum(ag.swapaxes(x, -1, -2), w), [a])
 
     def test_reshape(self):
         a = RNG.normal(size=(3, 4))
@@ -274,6 +274,28 @@ class TestGraphMechanics:
             np.testing.assert_allclose(b.grad, w, rtol=1e-12)
             np.testing.assert_allclose(a.grad, w + 2 * v * a.data, rtol=1e-12)
             assert not np.shares_memory(a.grad, b.grad)
+
+    def test_fan_out_leaf_gradients_own_their_memory(self):
+        # add(x, x) hands g to x twice, y reaches the loss through a
+        # reshape and a swapaxes view, b is broadcast over rows, and c is
+        # both gain and bias of a 1-D layer norm, whose bias takes g itself;
+        # every first gradient is kept without a copy
+        inputs = [RNG.normal(size=(2, 3)), RNG.normal(size=(3, 2)),
+                  RNG.normal(size=(3,)), RNG.normal(size=(6,))]
+        w = RNG.normal(size=6)
+
+        def build(x, y, b, c):
+            yt = ag.swapaxes(y, 0, 1)
+            h = ag.add(ag.add(ag.add(x, x), yt), ag.reshape(y, (2, 3)))
+            h = ag.add(ag.mul(h, yt), b)
+            return weighted_sum(ag.layer_norm(ag.reshape(h, (6,)), c, c), w)
+
+        leaves = [ag.Tensor(a.copy(), requires_grad=True) for a in inputs]
+        ag.backward(build(*leaves))
+        for i, p in enumerate(leaves):
+            for q in leaves[i + 1:]:
+                assert not np.shares_memory(p.grad, q.grad)
+        gradcheck(build, inputs)
 
     def test_non_scalar_root_rejected(self):
         x = ag.Tensor(np.ones((2, 2)), requires_grad=True)

@@ -423,3 +423,14 @@ def test_eval_missing_checkpoint_is_data_error(tmp_path, eval_artifacts, capsys)
                      "--out-dir", str(tmp_path / "o")])
     assert code == cli.EXIT_DATA
     assert "data error" in capsys.readouterr().err
+
+
+def test_eval_every_pair_over_length_is_data_error(tmp_path, eval_artifacts, capsys):
+    long = " ".join(["cat"] * 70)
+    pairs_path = tmp_path / "pairs.jsonl"
+    ev.save_minimal_pairs([ev.MinimalPair(long, "the cat sleeps", "sv")], pairs_path)
+    code = cli.main(["eval", "--checkpoint", str(eval_artifacts / cli.CHECKPOINT_NAME),
+                     "--subwords", str(eval_artifacts / cli.SUBWORDS_NAME),
+                     "--pairs", str(pairs_path), "--out-dir", str(tmp_path / "o")])
+    assert code == cli.EXIT_DATA
+    assert "longer than the model's 64 positions" in capsys.readouterr().err

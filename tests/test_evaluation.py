@@ -136,6 +136,56 @@ class TestClosedFormModel:
             ev.evaluate_suite(params, sub, [])
 
 
+class TestEvaluateSuite:
+    def test_each_distinct_sentence_scored_once(self, toy_subwords, small_params,
+                                                monkeypatch):
+        pairs = [ev.MinimalPair("the cat sleeps", "the cat sleep", "sv"),
+                 ev.MinimalPair("the cats sleep", "the cats sleeps", "sv"),
+                 ev.MinimalPair("the cat sleeps", "the cats sleeps", "sv"),
+                 ev.MinimalPair("this dog runs", "these dog runs", "dn"),
+                 ev.MinimalPair("the cat sleeps", "the cat sleep", "sv")]
+        # the old way, each pair on its own: two PLL calls a pair
+        expect: dict[str, list[int]] = {}
+        for p in pairs:
+            c = expect.setdefault(p.phenomenon, [0, 0])
+            c[0] += int(ev.score_pair(small_params, toy_subwords, p))
+            c[1] += 1
+
+        scored: list[str] = []
+        original = ev.pseudo_log_likelihood
+
+        def counting(params, subwords, sentence):
+            scored.append(sentence)
+            return original(params, subwords, sentence)
+
+        monkeypatch.setattr(ev, "pseudo_log_likelihood", counting)
+        report = ev.evaluate_suite(small_params, toy_subwords, pairs)
+        distinct = {s for p in pairs for s in (p.good, p.bad)}
+        assert sorted(scored) == sorted(distinct)
+        assert report.counts == {k: (c, t) for k, (c, t) in expect.items()}
+        assert report.skipped == 0
+
+    def test_over_length_pairs_skipped_and_counted(self, toy_subwords, small_params):
+        long = " ".join(["cat"] * 70)
+        pairs = [ev.MinimalPair("the cat sleeps", "the cat sleep", "sv"),
+                 ev.MinimalPair(long, "the dog runs", "sv"),
+                 ev.MinimalPair("this dog runs", "these dog runs", "dn"),
+                 ev.MinimalPair("the cats sleep", long, "long only")]
+        report = ev.evaluate_suite(small_params, toy_subwords, pairs)
+        alone = ev.evaluate_suite(small_params, toy_subwords, [pairs[0], pairs[2]])
+        assert report.counts == alone.counts
+        assert set(report.counts) == {"sv", "dn"}
+        assert report.pair_count == 2
+        assert report.skipped == 2
+        assert "skipped 2 over-length pairs" in report.to_text()
+
+    def test_all_pairs_over_length_rejected(self, toy_subwords, small_params):
+        long = " ".join(["cat"] * 70)
+        with pytest.raises(ValueError, match="all 1 pairs .* longer than the model's 64"):
+            ev.evaluate_suite(small_params, toy_subwords,
+                              [ev.MinimalPair(long, "the cat sleeps", "sv")])
+
+
 class TestEvalReport:
     def test_count_validation(self):
         with pytest.raises(ValueError, match="bad counts"):
@@ -148,6 +198,16 @@ class TestEvalReport:
         assert back.model_id == "model-a"
         assert back.pairs_id == "pairs-b"
         assert back.counts == report.counts
+        assert back.skipped == 0
+
+    def test_json_round_trip_with_skipped(self):
+        report = ev.EvalReport("m", "p", {"sv": (3, 4)}, skipped=5)
+        assert json.loads(report.to_json())["skipped"] == 5
+        back = ev.EvalReport.from_json(report.to_json())
+        assert back.skipped == 5
+        assert back.to_json() == report.to_json()
+        with pytest.raises(ValueError, match="skipped"):
+            ev.EvalReport("m", "p", {"sv": (3, 4)}, skipped=-1)
 
     def test_json_is_stable(self):
         report = ev.EvalReport("m", "p", {"a": (1, 2)})

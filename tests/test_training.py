@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from desklm import autograd as ag
 from desklm import model as mdl
 from desklm import training as tr
 from desklm.corpus import (Document, GrammarExample, NotionTag,
@@ -12,7 +13,7 @@ from desklm.corpus import (Document, GrammarExample, NotionTag,
 from desklm.subwords import (CLS_ID, MARK_ID, MASK_ID, NUM_SPECIALS, PAD_ID,
                              SEP_ID, train_subwords)
 
-from helpers import make_pseudo_corpus
+from helpers import make_pseudo_corpus, reference_adamw_step
 
 
 def tiny_model(**kw):
@@ -228,6 +229,48 @@ class TestAdamW:
             tr.adamw_step(p, {"w": np.array([1.0, np.nan])},
                           tr.AdamWState(p), 0.1, cfg)
 
+    def test_non_finite_gradient_changes_nothing(self):
+        # the check runs before any parameter or moment is touched, even
+        # when the bad gradient belongs to the last parameter
+        cfg = tr.TrainingConfig(weight_decay=0.1)
+        p = mdl.ParameterSet(tiny_model(), {
+            "a": tr.Tensor(np.ones((2, 2)), requires_grad=True),
+            "b": tr.Tensor(np.ones(2), requires_grad=True)})
+        state = tr.AdamWState(p)
+        with pytest.raises(ValueError, match="non-finite"):
+            tr.adamw_step(p, {"a": np.ones((2, 2)), "b": np.array([np.inf, 1.0])},
+                          state, 0.1, cfg)
+        assert state.t == 0
+        np.testing.assert_array_equal(p["a"].data, np.ones((2, 2)))
+        assert not state.m["a"].any() and not state.v["a"].any()
+
+    def test_bit_identical_to_reference(self):
+        # matrices (decayed) and vectors (not), gradients from 1e-6 to 1e2
+        # in size and of both signs, a changing learning rate, six steps
+        cfg = tr.TrainingConfig(weight_decay=0.05)
+        rng = np.random.default_rng(5)
+        shapes = {"w": (7, 5), "e": (3, 4, 2), "b": (5,), "g": (1,)}
+
+        def fresh():
+            r = np.random.default_rng(11)
+            return mdl.ParameterSet(tiny_model(), {
+                n: tr.Tensor(r.normal(size=s), requires_grad=True)
+                for n, s in shapes.items()})
+
+        got, ref = fresh(), fresh()
+        s_got, s_ref = tr.AdamWState(got), tr.AdamWState(ref)
+        for step in range(6):
+            grads = {n: rng.choice([-1.0, 1.0], size=s) * 10.0 ** rng.uniform(-6, 2, size=s)
+                     for n, s in shapes.items()}
+            lr = 1e-3 * (step + 1)
+            tr.adamw_step(got, grads, s_got, lr, cfg)
+            reference_adamw_step(ref, grads, s_ref, lr, cfg)
+            for n in shapes:
+                assert got[n].data.tobytes() == ref[n].data.tobytes(), (step, n)
+                assert s_got.m[n].tobytes() == s_ref.m[n].tobytes(), (step, n)
+                assert s_got.v[n].tobytes() == s_ref.v[n].tobytes(), (step, n)
+        assert s_got.t == s_ref.t == 6
+
 
 class TestTrainLog:
     def test_monotonic_steps_enforced(self):
@@ -266,6 +309,34 @@ def small_subwords(small_corpus):
 
 
 class TestTrainMLM:
+    def test_masked_rows_head_matches_all_rows(self):
+        # the step's head scores only labelled rows; the loss and every
+        # parameter gradient equal those of all B*T rows under IGNORE_INDEX
+        cfg = tiny_model(dropout=0.1)
+        rng = np.random.default_rng(3)
+        batch = rng.integers(NUM_SPECIALS, cfg.vocab_size, size=(4, 12))
+        batch[1, 7:] = PAD_ID
+        mcfg = tr.MaskingConfig()
+
+        def rngs():
+            return np.random.default_rng([9, 2]), np.random.default_rng([9, 3])
+
+        params = mdl.init_params(cfg)
+        loss = tr._mlm_step_loss(params, batch, mcfg, *rngs())
+        grads = mdl.backward(params, loss)
+
+        mask_rng, drop_rng = rngs()
+        masked, labels = tr.apply_mlm_masking(batch, mcfg, mask_rng, cfg.vocab_size)
+        assert 0 < int((labels != tr.IGNORE_INDEX).sum()) < labels.size
+        out = mdl.encoder_forward(params, masked, batch != PAD_ID, drop_rng)
+        logits = ag.reshape(mdl.mlm_logits(params, out), (batch.size, cfg.vocab_size))
+        ref = ag.cross_entropy(logits, labels.reshape(-1))
+        ref_grads = mdl.backward(params, ref)
+
+        assert abs(float(loss.data) - float(ref.data)) <= 1e-12
+        for name, g in ref_grads.items():
+            np.testing.assert_allclose(grads[name], g, rtol=0, atol=1e-12, err_msg=name)
+
     def test_empty_corpus(self, small_subwords):
         with pytest.raises(ValueError, match="empty"):
             tr.train_mlm([], small_subwords, tiny_model(vocab_size=80),
