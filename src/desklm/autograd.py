@@ -366,9 +366,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray,
     n_kept = int(kept.sum())
     if n_kept == 0:
         raise ValueError("cross_entropy: all labels are ignored")
-    z = logits.data - logits.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    logp = z - lse
+    logp = log_probs(logits)
     rows = np.nonzero(kept)[0]
     nll = -logp[rows, labels[rows]]
     out = np.asarray(nll.sum() / n_kept)

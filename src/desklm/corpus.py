@@ -358,14 +358,15 @@ def load_grammar_examples(path: str | Path) -> list[GrammarExample]:
 
 def load_manifest(path: str | Path) -> CorpusManifest:
     with open(path, encoding="utf-8") as f:
-        obj = json.load(f)
-    try:
-        entries = tuple(ManifestEntry(e["path"], e["kind"], int(e["budget"]))
-                        for e in obj["entries"])
-        return CorpusManifest(entries=entries, total_budget=int(obj["total_budget"]),
-                              seed=int(obj.get("seed", 0)))
-    except (KeyError, TypeError) as e:
-        raise ValueError(f"{path}: malformed manifest: {e}") from e
+        try:
+            obj = json.load(f)
+            entries = tuple(ManifestEntry(e["path"], e["kind"], int(e["budget"]))
+                            for e in obj["entries"])
+            return CorpusManifest(entries=entries, total_budget=int(obj["total_budget"]),
+                                  seed=int(obj.get("seed", 0)))
+        except (KeyError, TypeError, ValueError) as e:
+            # ValueError covers bad JSON, non-integer numbers and invalid entries
+            raise ValueError(f"{path}: malformed manifest: {e}") from e
 
 
 def save_manifest(path: str | Path, manifest: CorpusManifest) -> None:

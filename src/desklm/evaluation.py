@@ -270,8 +270,10 @@ def save_minimal_pairs(pairs: Iterable[MinimalPair], path: str | Path) -> None:
                                 "phenomenon": p.phenomenon}, sort_keys=True) + "\n")
 
 
-def load_minimal_pairs(path: str | Path) -> list[MinimalPair]:
-    """Native format: one JSON record per line, fields good/bad/phenomenon."""
+def _read_pairs(path: str | Path, good: str, bad: str, phenomenon: str,
+                what: str) -> list[MinimalPair]:
+    """One MinimalPair per non-blank JSONL line, from the named fields; a
+    bad record raises with the file and line."""
     pairs = []
     with open(path, encoding="utf-8") as f:
         for ln, line in enumerate(f, 1):
@@ -279,23 +281,18 @@ def load_minimal_pairs(path: str | Path) -> list[MinimalPair]:
                 continue
             try:
                 rec = json.loads(line)
-                pairs.append(MinimalPair(rec["good"], rec["bad"], rec["phenomenon"]))
-            except (json.JSONDecodeError, KeyError, TypeError) as e:
-                raise ValueError(f"{path}: line {ln}: bad pair record ({e})") from e
+                pairs.append(MinimalPair(rec[good], rec[bad], rec[phenomenon]))
+            except (KeyError, TypeError, ValueError) as e:
+                # ValueError covers bad JSON and MinimalPair's own checks
+                raise ValueError(f"{path}: line {ln}: bad {what} record ({e})") from e
     return pairs
+
+
+def load_minimal_pairs(path: str | Path) -> list[MinimalPair]:
+    """Native format: one JSON record per line, fields good/bad/phenomenon."""
+    return _read_pairs(path, "good", "bad", "phenomenon", "pair")
 
 
 def load_blimp_pairs(path: str | Path) -> list[MinimalPair]:
     """BLiMP-format loader: fields sentence_good / sentence_bad / UID."""
-    pairs = []
-    with open(path, encoding="utf-8") as f:
-        for ln, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                pairs.append(MinimalPair(rec["sentence_good"], rec["sentence_bad"],
-                                         rec["UID"]))
-            except (json.JSONDecodeError, KeyError, TypeError) as e:
-                raise ValueError(f"{path}: line {ln}: bad BLiMP record ({e})") from e
-    return pairs
+    return _read_pairs(path, "sentence_good", "sentence_bad", "UID", "BLiMP")

@@ -1,22 +1,25 @@
-"""Masking, optimization schedule, and the MLM / multi-objective loops.
+"""Masking, optimization schedule, and one training loop for MLM with an
+optional auxiliary objective.
 
 All randomness is drawn from per-purpose generators seeded as
 default_rng([seed, purpose]): 1 = example shuffling, 2 = MLM masking,
 3 = MLM-pass dropout, 4 = auxiliary batch order, 5 = auxiliary dropout.
-Keeping the streams separate makes the zero-weight multi-objective run
-consume exactly the same MLM randomness as a plain MLM run, which the
-tests check by comparing exported checkpoints byte for byte.
+Both objectives run through the same loop, and the auxiliary pass only
+adds draws from its own streams, so a zero-weight multi-objective run
+consumes exactly the same MLM randomness as a plain MLM run and exports
+the same encoder; the tests compare the checkpoints byte for byte.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
 import re
 from dataclasses import dataclass, asdict
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -254,57 +257,6 @@ def _mlm_step_loss(params: ParameterSet, batch: np.ndarray, mcfg: MaskingConfig,
     return ag.cross_entropy(mdl.mlm_logits(params, picked), labels.reshape(-1)[rows])
 
 
-def train_mlm(docs: Sequence[Document], subwords: SubwordModel,
-              model_cfg: ModelConfig, cfg: TrainingConfig,
-              mcfg: MaskingConfig | None = None,
-              checkpoint_dir: str | Path | None = None,
-              checkpoint_interval: int = 0) -> tuple[ParameterSet, TrainLog]:
-    """Masked-language-model pretraining, deterministic given cfg.seed."""
-    mcfg = mcfg or MaskingConfig()
-    if not docs:
-        raise ValueError("corpus is empty")
-    if model_cfg.max_positions < cfg.context_size:
-        raise ValueError("model max_positions is smaller than context_size")
-    packed = pack_examples(subwords, docs, cfg.context_size)
-    n = packed.shape[0]
-    if n == 0:
-        raise ValueError("corpus packed to zero examples")
-    steps_per_epoch = math.ceil(n / cfg.batch_size)
-    total_steps = cfg.epochs * steps_per_epoch
-    _check_schedule(cfg, total_steps)
-    manifest = _run_manifest("mlm", docs, n, total_steps, model_cfg, cfg, mcfg)
-    tlog = TrainLog(manifest)
-
-    params = mdl.init_params(model_cfg)
-    state = AdamWState(params)
-    shuffle_rng = np.random.default_rng([cfg.seed, _STREAM_SHUFFLE])
-    mask_rng = np.random.default_rng([cfg.seed, _STREAM_MASK])
-    drop_rng = np.random.default_rng([cfg.seed, _STREAM_DROPOUT]) if model_cfg.dropout else None
-
-    step = 0
-    for epoch in range(cfg.epochs):
-        order = shuffle_rng.permutation(n)
-        epoch_losses = []
-        for lo in range(0, n, cfg.batch_size):
-            batch = packed[order[lo: lo + cfg.batch_size]]
-            loss = _mlm_step_loss(params, batch, mcfg, mask_rng, drop_rng)
-            if loss is None:
-                continue
-            grads = mdl.backward(params, loss)
-            lr = lr_at(step, cfg, total_steps)
-            adamw_step(params, grads, state, lr, cfg)
-            val = float(loss.data)
-            tlog.append(step, lr, {"mlm": val}, val)
-            epoch_losses.append(val)
-            step += 1
-            if checkpoint_dir and checkpoint_interval and step % checkpoint_interval == 0:
-                mdl.save_checkpoint(params, Path(checkpoint_dir) / f"step{step:08d}.bin")
-        if epoch_losses:
-            log.info("epoch %d/%d: mean mlm loss %.4f",
-                     epoch + 1, cfg.epochs, sum(epoch_losses) / len(epoch_losses))
-    return params, tlog
-
-
 # -- auxiliary objectives ----------------------------------------------------
 
 @dataclass
@@ -406,6 +358,98 @@ def _aux_step_loss(params: ParameterSet, items: list[AuxItem],
     return ag.cross_entropy(ag.reshape(logits, (b * t, v)), labels.reshape(-1))
 
 
+# -- the training loop -------------------------------------------------------
+
+def _aux_batches(items: Sequence[AuxItem], size: int,
+                 rng: np.random.Generator) -> Iterator[list[AuxItem]]:
+    """Endless batches of `size` items, round-robin over a fresh shuffle
+    of all items each time the previous shuffle is used up."""
+    stream = (items[i] for _ in itertools.count() for i in rng.permutation(len(items)))
+    while True:
+        yield list(itertools.islice(stream, size))
+
+
+def _train(docs: Sequence[Document], subwords: SubwordModel,
+           model_cfg: ModelConfig, cfg: TrainingConfig, mcfg: MaskingConfig | None,
+           objective: str | None = None,
+           aux_items: Sequence[AuxItem] = ()) -> tuple[ParameterSet, TrainLog]:
+    """MLM pretraining, plus one auxiliary batch per step when `objective`
+    is given; deterministic given cfg.seed.
+
+    A batch whose masking selects no position takes no step. Each step's
+    gradient is mlm + aux_weight * aux; the auxiliary pass runs even at
+    aux_weight 0, on its own rng streams.
+    """
+    mcfg = mcfg or MaskingConfig()
+    if not docs:
+        raise ValueError("corpus is empty")
+    if model_cfg.max_positions < cfg.context_size:
+        raise ValueError("model max_positions is smaller than context_size")
+    packed = pack_examples(subwords, docs, cfg.context_size)
+    n = packed.shape[0]
+    if n == 0:
+        raise ValueError("corpus packed to zero examples")
+    total_steps = cfg.epochs * math.ceil(n / cfg.batch_size)
+    _check_schedule(cfg, total_steps)
+    manifest = _run_manifest(f"mlm+{objective}" if objective else "mlm", docs, n,
+                             total_steps, model_cfg, cfg, mcfg)
+    if objective:
+        manifest["n_aux_items"] = len(aux_items)
+        manifest["aux_weight"] = cfg.aux_weight
+    tlog = TrainLog(manifest)
+
+    params = mdl.init_params(model_cfg)
+    state = AdamWState(params)
+
+    def rng(stream: int) -> np.random.Generator:
+        return np.random.default_rng([cfg.seed, stream])
+
+    shuffle_rng = rng(_STREAM_SHUFFLE)
+    mask_rng = rng(_STREAM_MASK)
+    drop_rng = rng(_STREAM_DROPOUT) if model_cfg.dropout else None
+    if objective:
+        aux_batches = _aux_batches(aux_items, cfg.batch_size, rng(_STREAM_AUX_ORDER))
+        aux_drop = rng(_STREAM_AUX_DROPOUT) if model_cfg.dropout else None
+
+    lam = cfg.aux_weight
+    shown = objective or "mlm"
+    step = 0
+    for epoch in range(cfg.epochs):
+        order = shuffle_rng.permutation(n)
+        epoch_losses = []
+        for lo in range(0, n, cfg.batch_size):
+            batch = packed[order[lo: lo + cfg.batch_size]]
+            mlm_loss = _mlm_step_loss(params, batch, mcfg, mask_rng, drop_rng)
+            if mlm_loss is None:
+                continue
+            grads = mdl.backward(params, mlm_loss)
+            losses = {"mlm": float(mlm_loss.data)}
+            total = losses["mlm"]
+            if objective:
+                aux_loss = _aux_step_loss(params, next(aux_batches), aux_drop)
+                g_aux = mdl.backward(params, aux_loss)
+                if lam != 0.0:
+                    grads = {k: grads[k] + lam * g_aux[k] for k in grads}
+                losses[objective] = float(aux_loss.data)
+                total += lam * losses[objective]
+            lr = lr_at(step, cfg, total_steps)
+            adamw_step(params, grads, state, lr, cfg)
+            tlog.append(step, lr, losses, total)
+            epoch_losses.append(losses[shown])
+            step += 1
+        if epoch_losses:
+            log.info("epoch %d/%d: mean %s loss %.4f",
+                     epoch + 1, cfg.epochs, shown, sum(epoch_losses) / len(epoch_losses))
+    return params, tlog
+
+
+def train_mlm(docs: Sequence[Document], subwords: SubwordModel,
+              model_cfg: ModelConfig, cfg: TrainingConfig,
+              mcfg: MaskingConfig | None = None) -> tuple[ParameterSet, TrainLog]:
+    """Masked-language-model pretraining, deterministic given cfg.seed."""
+    return _train(docs, subwords, model_cfg, cfg, mcfg)
+
+
 def train_multi_objective(docs: Sequence[Document], subwords: SubwordModel,
                           aux_items: Sequence[AuxItem], objective: str,
                           model_cfg: ModelConfig, cfg: TrainingConfig,
@@ -419,13 +463,10 @@ def train_multi_objective(docs: Sequence[Document], subwords: SubwordModel,
     objective is "definition" (marked-token memory) or "grammar" (full
     hidden-state memory); items longer than max_positions are dropped.
     """
-    mcfg = mcfg or MaskingConfig()
     if objective not in ("definition", "grammar"):
         raise ValueError(f"unknown objective {objective!r}")
     if model_cfg.decoder_layers == 0:
         raise ValueError("multi-objective training requires decoder_layers > 0")
-    if not docs:
-        raise ValueError("corpus is empty")
     limit = model_cfg.max_positions
     usable = [it for it in aux_items
               if len(it.enc_ids) <= limit and len(it.dec_in) <= limit]
@@ -433,65 +474,5 @@ def train_multi_objective(docs: Sequence[Document], subwords: SubwordModel,
         log.info("dropped %d over-length auxiliary items", len(aux_items) - len(usable))
     if not usable:
         raise ValueError("no usable auxiliary items")
-
-    packed = pack_examples(subwords, docs, cfg.context_size)
-    n = packed.shape[0]
-    if n == 0:
-        raise ValueError("corpus packed to zero examples")
-    steps_per_epoch = math.ceil(n / cfg.batch_size)
-    total_steps = cfg.epochs * steps_per_epoch
-    _check_schedule(cfg, total_steps)
-    manifest = _run_manifest(f"mlm+{objective}", docs, n, total_steps, model_cfg, cfg, mcfg)
-    manifest["n_aux_items"] = len(usable)
-    manifest["aux_weight"] = cfg.aux_weight
-    tlog = TrainLog(manifest)
-
-    params = mdl.init_params(model_cfg)
-    state = AdamWState(params)
-    shuffle_rng = np.random.default_rng([cfg.seed, _STREAM_SHUFFLE])
-    mask_rng = np.random.default_rng([cfg.seed, _STREAM_MASK])
-    drop_rng = np.random.default_rng([cfg.seed, _STREAM_DROPOUT]) if model_cfg.dropout else None
-    aux_rng = np.random.default_rng([cfg.seed, _STREAM_AUX_ORDER])
-    aux_drop = np.random.default_rng([cfg.seed, _STREAM_AUX_DROPOUT]) if model_cfg.dropout else None
-
-    aux_order: list[int] = []
-    aux_pos = 0
-
-    def next_aux_batch(size: int) -> list[AuxItem]:
-        nonlocal aux_order, aux_pos
-        picked = []
-        for _ in range(size):
-            if aux_pos >= len(aux_order):
-                aux_order = list(aux_rng.permutation(len(usable)))
-                aux_pos = 0
-            picked.append(usable[aux_order[aux_pos]])
-            aux_pos += 1
-        return picked
-
-    lam = cfg.aux_weight
-    step = 0
-    for epoch in range(cfg.epochs):
-        order = shuffle_rng.permutation(n)
-        epoch_aux = []
-        for lo in range(0, n, cfg.batch_size):
-            batch = packed[order[lo: lo + cfg.batch_size]]
-            mlm_loss = _mlm_step_loss(params, batch, mcfg, mask_rng, drop_rng)
-            if mlm_loss is None:
-                continue
-            g_mlm = mdl.backward(params, mlm_loss)
-            aux_loss = _aux_step_loss(params, next_aux_batch(cfg.batch_size), aux_drop)
-            g_aux = mdl.backward(params, aux_loss)
-            if lam == 0.0:
-                grads = g_mlm
-            else:
-                grads = {k: g_mlm[k] + lam * g_aux[k] for k in g_mlm}
-            lr = lr_at(step, cfg, total_steps)
-            adamw_step(params, grads, state, lr, cfg)
-            losses = {"mlm": float(mlm_loss.data), objective: float(aux_loss.data)}
-            tlog.append(step, lr, losses, losses["mlm"] + lam * losses[objective])
-            epoch_aux.append(losses[objective])
-            step += 1
-        if epoch_aux:
-            log.info("epoch %d/%d: mean %s loss %.4f",
-                     epoch + 1, cfg.epochs, objective, sum(epoch_aux) / len(epoch_aux))
+    params, tlog = _train(docs, subwords, model_cfg, cfg, mcfg, objective, usable)
     return mdl.strip_decoder(params), tlog

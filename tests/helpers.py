@@ -7,6 +7,8 @@ agreement between the two is meaningful.
 
 from __future__ import annotations
 
+import logging
+import math
 from collections import Counter
 from typing import Sequence
 
@@ -14,8 +16,16 @@ import numpy as np
 
 from desklm import model as mdl
 from desklm.corpus import Document
+from desklm.model import ModelConfig, ParameterSet
 from desklm.subwords import (NUM_SPECIALS, SPECIAL_TOKENS, SubwordModel, MASK_ID,
-                             _word_forms)
+                             _word_forms, pack_examples)
+from desklm.training import (_STREAM_AUX_DROPOUT, _STREAM_AUX_ORDER, _STREAM_DROPOUT,
+                             _STREAM_MASK, _STREAM_SHUFFLE, AdamWState, AuxItem,
+                             MaskingConfig, TrainingConfig, TrainLog, _aux_step_loss,
+                             _check_schedule, _mlm_step_loss, _run_manifest, adamw_step,
+                             lr_at)
+
+log = logging.getLogger(__name__)
 
 _ONSETS = ["b", "d", "f", "g", "k", "l", "m", "n", "p", "r", "s", "t", "v", "z",
            "bl", "br", "dr", "fl", "gr", "kr", "pl", "pr", "sk", "sl", "sm",
@@ -188,3 +198,136 @@ def fd_check_params(params: mdl.ParameterSet, loss_fn, grads: dict,
             if err > rel_tol * max(abs(analytic), abs(fd)) and err > abs_floor:
                 failures.append(f"{name}[{i}]: analytic {analytic:.3e} fd {fd:.3e}")
     return failures
+
+
+def reference_train_mlm(docs: Sequence[Document], subwords: SubwordModel,
+                        model_cfg: ModelConfig, cfg: TrainingConfig,
+                        mcfg: MaskingConfig | None = None) -> tuple[ParameterSet, TrainLog]:
+    """Reference MLM loop: the standalone loop `training.train_mlm` ran
+    before it shared one loop with the auxiliary objectives."""
+    mcfg = mcfg or MaskingConfig()
+    if not docs:
+        raise ValueError("corpus is empty")
+    if model_cfg.max_positions < cfg.context_size:
+        raise ValueError("model max_positions is smaller than context_size")
+    packed = pack_examples(subwords, docs, cfg.context_size)
+    n = packed.shape[0]
+    if n == 0:
+        raise ValueError("corpus packed to zero examples")
+    steps_per_epoch = math.ceil(n / cfg.batch_size)
+    total_steps = cfg.epochs * steps_per_epoch
+    _check_schedule(cfg, total_steps)
+    manifest = _run_manifest("mlm", docs, n, total_steps, model_cfg, cfg, mcfg)
+    tlog = TrainLog(manifest)
+
+    params = mdl.init_params(model_cfg)
+    state = AdamWState(params)
+    shuffle_rng = np.random.default_rng([cfg.seed, _STREAM_SHUFFLE])
+    mask_rng = np.random.default_rng([cfg.seed, _STREAM_MASK])
+    drop_rng = np.random.default_rng([cfg.seed, _STREAM_DROPOUT]) if model_cfg.dropout else None
+
+    step = 0
+    for epoch in range(cfg.epochs):
+        order = shuffle_rng.permutation(n)
+        epoch_losses = []
+        for lo in range(0, n, cfg.batch_size):
+            batch = packed[order[lo: lo + cfg.batch_size]]
+            loss = _mlm_step_loss(params, batch, mcfg, mask_rng, drop_rng)
+            if loss is None:
+                continue
+            grads = mdl.backward(params, loss)
+            lr = lr_at(step, cfg, total_steps)
+            adamw_step(params, grads, state, lr, cfg)
+            val = float(loss.data)
+            tlog.append(step, lr, {"mlm": val}, val)
+            epoch_losses.append(val)
+            step += 1
+        if epoch_losses:
+            log.info("epoch %d/%d: mean mlm loss %.4f",
+                     epoch + 1, cfg.epochs, sum(epoch_losses) / len(epoch_losses))
+    return params, tlog
+
+
+def reference_train_multi_objective(docs: Sequence[Document], subwords: SubwordModel,
+                                    aux_items: Sequence[AuxItem], objective: str,
+                                    model_cfg: ModelConfig, cfg: TrainingConfig,
+                                    mcfg: MaskingConfig | None = None) -> tuple[ParameterSet, TrainLog]:
+    """Reference multi-objective loop: the standalone loop
+    `training.train_multi_objective` ran before it shared one loop with
+    plain MLM."""
+    mcfg = mcfg or MaskingConfig()
+    if objective not in ("definition", "grammar"):
+        raise ValueError(f"unknown objective {objective!r}")
+    if model_cfg.decoder_layers == 0:
+        raise ValueError("multi-objective training requires decoder_layers > 0")
+    if not docs:
+        raise ValueError("corpus is empty")
+    limit = model_cfg.max_positions
+    usable = [it for it in aux_items
+              if len(it.enc_ids) <= limit and len(it.dec_in) <= limit]
+    if len(usable) < len(aux_items):
+        log.info("dropped %d over-length auxiliary items", len(aux_items) - len(usable))
+    if not usable:
+        raise ValueError("no usable auxiliary items")
+
+    packed = pack_examples(subwords, docs, cfg.context_size)
+    n = packed.shape[0]
+    if n == 0:
+        raise ValueError("corpus packed to zero examples")
+    steps_per_epoch = math.ceil(n / cfg.batch_size)
+    total_steps = cfg.epochs * steps_per_epoch
+    _check_schedule(cfg, total_steps)
+    manifest = _run_manifest(f"mlm+{objective}", docs, n, total_steps, model_cfg, cfg, mcfg)
+    manifest["n_aux_items"] = len(usable)
+    manifest["aux_weight"] = cfg.aux_weight
+    tlog = TrainLog(manifest)
+
+    params = mdl.init_params(model_cfg)
+    state = AdamWState(params)
+    shuffle_rng = np.random.default_rng([cfg.seed, _STREAM_SHUFFLE])
+    mask_rng = np.random.default_rng([cfg.seed, _STREAM_MASK])
+    drop_rng = np.random.default_rng([cfg.seed, _STREAM_DROPOUT]) if model_cfg.dropout else None
+    aux_rng = np.random.default_rng([cfg.seed, _STREAM_AUX_ORDER])
+    aux_drop = np.random.default_rng([cfg.seed, _STREAM_AUX_DROPOUT]) if model_cfg.dropout else None
+
+    aux_order: list[int] = []
+    aux_pos = 0
+
+    def next_aux_batch(size: int) -> list[AuxItem]:
+        nonlocal aux_order, aux_pos
+        picked = []
+        for _ in range(size):
+            if aux_pos >= len(aux_order):
+                aux_order = list(aux_rng.permutation(len(usable)))
+                aux_pos = 0
+            picked.append(usable[aux_order[aux_pos]])
+            aux_pos += 1
+        return picked
+
+    lam = cfg.aux_weight
+    step = 0
+    for epoch in range(cfg.epochs):
+        order = shuffle_rng.permutation(n)
+        epoch_aux = []
+        for lo in range(0, n, cfg.batch_size):
+            batch = packed[order[lo: lo + cfg.batch_size]]
+            mlm_loss = _mlm_step_loss(params, batch, mcfg, mask_rng, drop_rng)
+            if mlm_loss is None:
+                continue
+            g_mlm = mdl.backward(params, mlm_loss)
+            aux_loss = _aux_step_loss(params, next_aux_batch(cfg.batch_size), aux_drop)
+            g_aux = mdl.backward(params, aux_loss)
+            if lam == 0.0:
+                grads = g_mlm
+            else:
+                grads = {k: g_mlm[k] + lam * g_aux[k] for k in g_mlm}
+            lr = lr_at(step, cfg, total_steps)
+            adamw_step(params, grads, state, lr, cfg)
+            losses = {"mlm": float(mlm_loss.data), objective: float(aux_loss.data)}
+            tlog.append(step, lr, losses, losses["mlm"] + lam * losses[objective])
+            epoch_aux.append(losses[objective])
+            step += 1
+        if epoch_aux:
+            log.info("epoch %d/%d: mean %s loss %.4f",
+                     epoch + 1, cfg.epochs, objective, sum(epoch_aux) / len(epoch_aux))
+    return mdl.strip_decoder(params), tlog

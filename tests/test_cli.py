@@ -8,6 +8,8 @@ models and corpora; nothing here should take more than a few seconds.
 from __future__ import annotations
 
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -70,6 +72,25 @@ def test_render_figure_1_without_topic_is_usage_error(capsys):
     code = cli.main(["synth", "render", "--figure", "1", "--notion", "common noun"])
     assert code == cli.EXIT_USAGE
     assert "--topic" in capsys.readouterr().err
+
+
+# -- README examples ------------------------------------------------------------
+
+def test_readme_commands_parse():
+    # every `desklm ...` line of README's sh blocks, continuations joined and
+    # leading VAR=value assignments dropped, is only parsed, never run
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.DOTALL):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line)
+            while words and re.match(r"[A-Za-z_][A-Za-z0-9_]*=", words[0]):
+                words.pop(0)
+            if words and words[0] == "desklm":
+                commands.append(words[1:])
+    assert len(commands) >= 10
+    for argv in commands:
+        cli.build_parser().parse_args(argv)
 
 
 # -- corpus subcommands ----------------------------------------------------------
@@ -137,6 +158,18 @@ def test_corpus_mix_respects_budgets(tmp_path, capsys):
     assert run["artifacts"] == ["mixed.jsonl"]
     assert str(manifest) in run["input_hashes"]
     assert str(plain) in run["input_hashes"]
+
+
+def test_corpus_mix_malformed_manifest_is_data_error_naming_the_file(tmp_path, capsys):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"total_budget": 10, "entries": [
+        {"path": "a.txt", "kind": "novel", "budget": 5}]}), encoding="utf-8")
+    code = cli.main(["corpus", "mix", "--manifest", str(manifest),
+                     "--out-dir", str(tmp_path / "mixed")])
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{manifest}: " in err
+    assert "unknown source kind 'novel'" in err
 
 
 def test_corpus_flatten_triplets(tmp_path, capsys):

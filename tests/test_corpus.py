@@ -171,6 +171,33 @@ class TestManifest:
         assert loaded == manifest
         assert [e.budget for e in loaded.entries] == [145000, 254000, 147000]
 
+    def _load_written(self, tmp_path, text):
+        path = tmp_path / "bad_manifest.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            cp.load_manifest(path)
+        assert str(exc.value).startswith(f"{path}: ")
+        return str(exc.value)
+
+    def _manifest_text(self, kind="unconstrained", budget=5, total=10):
+        return json.dumps({"total_budget": total, "entries": [
+            {"path": "a.txt", "kind": kind, "budget": budget}]})
+
+    def test_unknown_kind_names_the_file(self, tmp_path):
+        msg = self._load_written(tmp_path, self._manifest_text(kind="novel"))
+        assert "unknown source kind 'novel'" in msg
+
+    def test_non_integer_budget_names_the_file(self, tmp_path):
+        msg = self._load_written(tmp_path, self._manifest_text(budget="five"))
+        assert "'five'" in msg
+
+    def test_truncated_json_names_the_file(self, tmp_path):
+        self._load_written(tmp_path, self._manifest_text()[:21])
+
+    def test_budgets_over_total_name_the_file(self, tmp_path):
+        msg = self._load_written(tmp_path, self._manifest_text(budget=11, total=10))
+        assert "exceeding total budget 10" in msg
+
 
 class TestMixing:
     def _docs(self, rng, n, prefix="d"):

@@ -334,6 +334,23 @@ class TestPairFiles:
         with pytest.raises(ValueError, match="line 1: bad pair record"):
             ev.load_minimal_pairs(path)
 
+    def test_invalid_pair_reports_file_and_line(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        path.write_text('{"good": "a", "bad": "b", "phenomenon": "p"}\n'
+                        '{"good": "a", "bad": "a", "phenomenon": "p"}\n')
+        with pytest.raises(ValueError) as exc:
+            ev.load_minimal_pairs(path)
+        assert str(exc.value).startswith(f"{path}: line 2: bad pair record")
+        assert "good and bad sentences must differ" in str(exc.value)
+
+    def test_invalid_blimp_pair_reports_file_and_line(self, tmp_path):
+        path = tmp_path / "blimp.jsonl"
+        path.write_text('{"sentence_good": "a", "sentence_bad": "a", "UID": "u"}\n')
+        with pytest.raises(ValueError) as exc:
+            ev.load_blimp_pairs(path)
+        assert str(exc.value).startswith(f"{path}: line 1: bad BLiMP record")
+        assert "good and bad sentences must differ" in str(exc.value)
+
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "pairs.jsonl"
         path.write_text('\n{"good": "a", "bad": "b", "phenomenon": "p"}\n\n')

@@ -13,7 +13,8 @@ from desklm.corpus import (Document, GrammarExample, NotionTag,
 from desklm.subwords import (CLS_ID, MARK_ID, MASK_ID, NUM_SPECIALS, PAD_ID,
                              SEP_ID, train_subwords)
 
-from helpers import make_pseudo_corpus, reference_adamw_step
+from helpers import (make_pseudo_corpus, reference_adamw_step, reference_train_mlm,
+                     reference_train_multi_objective)
 
 
 def tiny_model(**kw):
@@ -405,15 +406,6 @@ class TestTrainMLM:
         tail = [s["losses"]["mlm"] for s in tlog.steps[-4:]]
         assert sum(tail) / len(tail) < first - 0.5
 
-    def test_interval_checkpointing(self, small_corpus, small_subwords, tmp_path):
-        tr.train_mlm(small_corpus, small_subwords, tiny_model(vocab_size=80),
-                     tiny_training(epochs=1), checkpoint_dir=tmp_path,
-                     checkpoint_interval=2)
-        snaps = sorted(tmp_path.glob("step*.bin"))
-        assert snaps
-        loaded = mdl.load_checkpoint(snaps[0])
-        assert loaded.config.vocab_size == 80
-
     def test_dropout_path_runs(self, small_corpus, small_subwords):
         params, tlog = tr.train_mlm(small_corpus, small_subwords,
                                     tiny_model(vocab_size=80, dropout=0.2),
@@ -569,6 +561,18 @@ class TestMultiObjective:
                                      tiny_model(vocab_size=95, decoder_layers=1),
                                      tiny_training(warmup_steps=4000))
 
+    def test_context_checked_before_first_step(self, mo_docs, grammar_subwords,
+                                               monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("ran a model call before the context check")
+        monkeypatch.setattr(mdl, "init_params", never)
+        monkeypatch.setattr(mdl, "encoder_forward", never)
+        with pytest.raises(ValueError, match="max_positions is smaller than context_size"):
+            tr.train_multi_objective(mo_docs, grammar_subwords,
+                                     self._grammar_items(grammar_subwords), "grammar",
+                                     tiny_model(vocab_size=95, decoder_layers=1),
+                                     tiny_training(context_size=65))
+
     def test_all_items_too_long(self, mo_docs, grammar_subwords, caplog):
         long_item = tr.AuxItem(enc_ids=[7] * 200, mem_index=None,
                                dec_in=[CLS_ID], dec_labels=[SEP_ID])
@@ -640,3 +644,68 @@ class TestMultiObjective:
         first = tlog.steps[0]["losses"]["definition"]
         last = tlog.steps[-1]["losses"]["definition"]
         assert last < 0.5 * first
+
+
+@pytest.fixture(scope="module")
+def definition_setup():
+    entries = [DEF_ENTRIES[0]]
+    text = " ".join(entries[0].examples) + " " + entries[0].definition
+    sub = train_subwords([Document(id="t", text=text, source="wiktionary")], 75)
+    return sub, tr.build_definition_batch(entries, sub)
+
+
+class TestOneLoopMatchesReferences:
+    """The shared loop writes the same checkpoint and train-log bytes as
+    the two standalone loops it replaced (kept in helpers.py)."""
+
+    def _bytes_of_both(self, objective, docs, subwords, items, model_cfg, cfg,
+                       mcfg, tmp_path):
+        if objective is None:
+            runs = [tr.train_mlm(docs, subwords, model_cfg, cfg, mcfg),
+                    reference_train_mlm(docs, subwords, model_cfg, cfg, mcfg)]
+        else:
+            runs = [f(docs, subwords, items, objective, model_cfg, cfg, mcfg)
+                    for f in (tr.train_multi_objective, reference_train_multi_objective)]
+        out = []
+        for i, (params, tlog) in enumerate(runs):
+            mdl.save_checkpoint(params, tmp_path / f"{i}.bin")
+            tlog.write(tmp_path / f"{i}.jsonl")
+            out.append(((tmp_path / f"{i}.bin").read_bytes(),
+                        (tmp_path / f"{i}.jsonl").read_bytes()))
+        return out, runs[0][1]
+
+    def _setup(self, objective, dropout, grammar_subwords, definition_setup):
+        if objective == "definition":
+            sub, items = definition_setup
+        else:
+            sub = grammar_subwords
+            items = tr.build_grammar_batch([TAGGED], sub)
+        return sub, items, tiny_model(vocab_size=sub.vocab_size, dropout=dropout,
+                                      decoder_layers=1 if objective else 0)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    @pytest.mark.parametrize("objective,aux_weight", [
+        (None, 1.0), ("grammar", 0.0), ("grammar", 0.25), ("definition", 0.25)])
+    def test_same_bytes(self, objective, aux_weight, dropout, mo_docs,
+                        grammar_subwords, definition_setup, tmp_path):
+        sub, items, model_cfg = self._setup(objective, dropout, grammar_subwords,
+                                            definition_setup)
+        (new, ref), _ = self._bytes_of_both(objective, mo_docs, sub, items, model_cfg,
+                                            tiny_training(aux_weight=aux_weight), None,
+                                            tmp_path)
+        assert new[0] == ref[0]
+        assert new[1] == ref[1]
+
+    @pytest.mark.parametrize("objective", [None, "grammar"])
+    def test_same_bytes_when_batches_select_no_label(self, objective, mo_docs,
+                                                     grammar_subwords,
+                                                     definition_setup, tmp_path):
+        sub, items, model_cfg = self._setup(objective, 0.1, grammar_subwords,
+                                            definition_setup)
+        (new, ref), tlog = self._bytes_of_both(
+            objective, mo_docs, sub, items, model_cfg,
+            tiny_training(batch_size=4, aux_weight=0.25),
+            tr.MaskingConfig(mask_prob=0.05), tmp_path)
+        assert 0 < len(tlog.steps) < tlog.manifest["total_steps"]
+        assert new[0] == ref[0]
+        assert new[1] == ref[1]
