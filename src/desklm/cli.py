@@ -213,6 +213,9 @@ def cmd_train(args) -> int:
         raise UsageError("--mlm-wikt requires --wiktionary")
     if args.mlm_gram and not args.grammar:
         raise UsageError("--mlm-gram requires --grammar")
+    if args.decoder_layers is not None and (args.mlm or args.decoder_layers < 1):
+        raise UsageError("--decoder-layers takes a count >= 1 and only with "
+                         "--mlm-wikt or --mlm-gram")
     out = Path(args.out_dir)
     inputs = [Path(args.corpus)]
     if args.wiktionary:
@@ -236,8 +239,7 @@ def cmd_train(args) -> int:
         model_cfg = _model_config(args, subwords.vocab_size, decoder_layers=0)
         params, tlog = tr.train_mlm(docs, subwords, model_cfg, cfg)
     else:
-        decoder_layers = args.decoder_layers if args.decoder_layers else 2
-        model_cfg = _model_config(args, subwords.vocab_size, decoder_layers)
+        model_cfg = _model_config(args, subwords.vocab_size, args.decoder_layers or 2)
         if args.mlm_wikt:
             entries = cp.parse_wiktionary_csv(args.wiktionary)
             items = tr.build_definition_batch(entries, subwords)
@@ -409,7 +411,7 @@ def main(argv=None) -> int:
     except sy.CompletionError as e:
         print(f"runtime error: {e}", file=sys.stderr)
         return EXIT_RUNTIME
-    except (FileNotFoundError, ValueError, KeyError) as e:
+    except (FileNotFoundError, ValueError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except Exception as e:  # keep the exit-code contract for anything else

@@ -18,7 +18,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -126,6 +126,8 @@ class NotionTag:
                 )
         else:
             object.__setattr__(self, "value", tuple(self.value))
+            if not all(isinstance(w, str) for w in self.value):
+                raise ValueError(f"tag {self.notion!r}: words must be strings")
 
 
 @dataclass(frozen=True)
@@ -179,41 +181,55 @@ class CorpusManifest:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _read_jsonl(path: str | Path) -> Iterable[tuple[int, dict]]:
-    with open(path, encoding="utf-8") as f:
+def str_field(record: dict, name: str, default: str | None = None) -> str:
+    """The string field `name` of a record, required when `default` is None."""
+    value = record[name] if default is None else record.get(name, default)
+    if not isinstance(value, str):
+        raise TypeError(f"field {name!r} must be a string, got {type(value).__name__}")
+    return value
+
+
+def _reason(e: Exception) -> str:
+    if isinstance(e, KeyError):
+        return f"missing field {e.args[0]!r}"
+    if isinstance(e, json.JSONDecodeError):
+        return f"malformed JSON: {e.msg} at column {e.colno}"
+    return str(e)
+
+
+def _records(path: str | Path, build: Callable[[dict, int], object], what: str) -> Iterator:
+    with open(path, "rb") as f:  # bytes, so a bad encoding is reported by line too
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ValueError(f"{path}: line {lineno}: malformed record: {e}") from e
-            if not isinstance(record, dict):
-                raise ValueError(f"{path}: line {lineno}: expected an object")
-            yield lineno, record
+                record = json.loads(line.decode("utf-8"))
+                if not isinstance(record, dict):
+                    raise TypeError(f"expected a JSON object, got {type(record).__name__}")
+                item = build(record, lineno)
+            except (KeyError, TypeError, ValueError) as e:
+                raise ValueError(f"{path}: line {lineno}: bad {what} record: {_reason(e)}") from e
+            yield item
 
 
-def _first_record(path: str | Path) -> dict:
+def read_records(path: str | Path, build: Callable[[dict, int], object], what: str) -> list:
+    """`build(record, line number)` for each non-blank line of a JSONL file.
+
+    A line that is not a JSON object, or whose build raises KeyError,
+    TypeError or ValueError, raises ValueError naming the file and line.
+    """
+    return list(_records(path, build, what))
+
+
+def _first_record(path: str | Path, what: str) -> dict:
     """The first record of a JSONL file, or {} when it has none."""
-    for _, record in _read_jsonl(path):
-        return record
-    return {}
+    return next(_records(path, lambda record, _: record, what), {})
 
 
 def load_triplets(path: str | Path) -> list[TripletExample]:
     """Read line-delimited triplet records {sent0, sent1, hard_neg}."""
-    triplets = []
-    for lineno, record in _read_jsonl(path):
-        for name in ("sent0", "sent1", "hard_neg"):
-            if name not in record:
-                raise ValueError(f"{path}: line {lineno}: missing field {name!r}")
-        try:
-            triplets.append(
-                TripletExample(record["sent0"], record["sent1"], record["hard_neg"])
-            )
-        except ValueError as e:
-            raise ValueError(f"{path}: line {lineno}: {e}") from e
-    return triplets
+    return read_records(path, lambda r, _: TripletExample(
+        str_field(r, "sent0"), str_field(r, "sent1"), str_field(r, "hard_neg")), "triplet")
 
 
 def save_triplets(path: str | Path, triplets: Iterable[TripletExample]) -> None:
@@ -240,19 +256,9 @@ def load_documents(path: str | Path, source: str | None = None) -> list[Document
     `source` overrides the per-record source kind when given.
     """
     stem = Path(path).stem
-    docs = []
-    for lineno, record in _read_jsonl(path):
-        if "text" not in record:
-            raise ValueError(f"{path}: line {lineno}: missing field 'text'")
-        kind = source or record.get("source")
-        if kind is None:
-            raise ValueError(f"{path}: line {lineno}: missing field 'source'")
-        try:
-            docs.append(Document(id=record.get("id", f"{stem}-{lineno:06d}"),
-                                 source=kind, text=record["text"]))
-        except ValueError as e:
-            raise ValueError(f"{path}: line {lineno}: {e}") from e
-    return docs
+    return read_records(path, lambda r, lineno: Document(
+        text=str_field(r, "text"), source=source or str_field(r, "source"),
+        id=str_field(r, "id", f"{stem}-{lineno:06d}")), "document")
 
 
 def save_documents(path: str | Path, docs: Iterable[Document]) -> None:
@@ -331,8 +337,11 @@ def _tag_to_json(tag: NotionTag) -> dict:
 
 
 def _tag_from_json(obj: dict) -> NotionTag:
+    if not isinstance(obj, dict):
+        raise TypeError(f"tag must be an object, got {type(obj).__name__}")
     value = obj["value"]
-    return NotionTag(obj["notion"], tuple(value) if isinstance(value, list) else value)
+    return NotionTag(str_field(obj, "notion"),
+                     tuple(value) if isinstance(value, list) else value)
 
 
 def save_grammar_examples(path: str | Path, examples: Iterable[GrammarExample]) -> None:
@@ -345,23 +354,17 @@ def save_grammar_examples(path: str | Path, examples: Iterable[GrammarExample]) 
 
 
 def load_grammar_examples(path: str | Path) -> list[GrammarExample]:
-    examples = []
-    for lineno, record in _read_jsonl(path):
-        try:
-            examples.append(GrammarExample(
-                sentence=record["sentence"], topic=record.get("topic", ""),
-                tags=tuple(_tag_from_json(t) for t in record.get("tags", []))))
-        except (KeyError, ValueError) as e:
-            raise ValueError(f"{path}: line {lineno}: {e}") from e
-    return examples
+    return read_records(path, lambda r, _: GrammarExample(
+        sentence=str_field(r, "sentence"), topic=str_field(r, "topic", ""),
+        tags=tuple(_tag_from_json(t) for t in r.get("tags", []))), "grammar")
 
 
 def load_manifest(path: str | Path) -> CorpusManifest:
     with open(path, encoding="utf-8") as f:
         try:
             obj = json.load(f)
-            entries = tuple(ManifestEntry(e["path"], e["kind"], int(e["budget"]))
-                            for e in obj["entries"])
+            entries = tuple(ManifestEntry(str_field(e, "path"), str_field(e, "kind"),
+                                          int(e["budget"])) for e in obj["entries"])
             return CorpusManifest(entries=entries, total_budget=int(obj["total_budget"]),
                                   seed=int(obj.get("seed", 0)))
         except (KeyError, TypeError, ValueError) as e:
@@ -446,7 +449,7 @@ def load_source(path: str | Path, kind: str) -> list[Document]:
     if kind == "triplet":
         return flatten_triplets(load_triplets(p))
     if (kind in ("grammar_gen", "grammar_book") and p.suffix == ".jsonl"
-            and "sentence" in _first_record(p)):
+            and "sentence" in _first_record(p, kind)):
         examples = load_grammar_examples(p)
         return [Document(id=f"{p.stem}-{i:06d}", source=kind, text=ex.sentence)
                 for i, ex in enumerate(examples)]

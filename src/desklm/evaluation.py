@@ -19,6 +19,7 @@ import numpy as np
 
 from . import autograd as ag
 from . import model as mdl
+from .corpus import read_records, str_field
 from .model import ParameterSet
 from .subwords import SubwordModel, MASK_ID
 
@@ -270,29 +271,14 @@ def save_minimal_pairs(pairs: Iterable[MinimalPair], path: str | Path) -> None:
                                 "phenomenon": p.phenomenon}, sort_keys=True) + "\n")
 
 
-def _read_pairs(path: str | Path, good: str, bad: str, phenomenon: str,
-                what: str) -> list[MinimalPair]:
-    """One MinimalPair per non-blank JSONL line, from the named fields; a
-    bad record raises with the file and line."""
-    pairs = []
-    with open(path, encoding="utf-8") as f:
-        for ln, line in enumerate(f, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                pairs.append(MinimalPair(rec[good], rec[bad], rec[phenomenon]))
-            except (KeyError, TypeError, ValueError) as e:
-                # ValueError covers bad JSON and MinimalPair's own checks
-                raise ValueError(f"{path}: line {ln}: bad {what} record ({e})") from e
-    return pairs
-
-
 def load_minimal_pairs(path: str | Path) -> list[MinimalPair]:
     """Native format: one JSON record per line, fields good/bad/phenomenon."""
-    return _read_pairs(path, "good", "bad", "phenomenon", "pair")
+    return read_records(path, lambda r, _: MinimalPair(
+        str_field(r, "good"), str_field(r, "bad"), str_field(r, "phenomenon")), "pair")
 
 
 def load_blimp_pairs(path: str | Path) -> list[MinimalPair]:
     """BLiMP-format loader: fields sentence_good / sentence_bad / UID."""
-    return _read_pairs(path, "sentence_good", "sentence_bad", "UID", "BLiMP")
+    return read_records(path, lambda r, _: MinimalPair(
+        str_field(r, "sentence_good"), str_field(r, "sentence_bad"), str_field(r, "UID")),
+        "BLiMP")

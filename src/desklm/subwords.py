@@ -118,10 +118,15 @@ class SubwordModel:
     @classmethod
     def load(cls, path: str | Path) -> "SubwordModel":
         with open(path, encoding="utf-8") as f:
-            obj = json.load(f)
-        if obj.get("kind") != "bpe-subwords" or obj.get("format_version") != FORMAT_VERSION:
-            raise ValueError(f"{path}: not a version-{FORMAT_VERSION} subword model file")
-        return cls(obj["vocab"], [tuple(m) for m in obj["merges"]])
+            try:
+                obj = json.load(f)
+                if (not isinstance(obj, dict) or obj.get("kind") != "bpe-subwords"
+                        or obj.get("format_version") != FORMAT_VERSION):
+                    raise ValueError(f"not a version-{FORMAT_VERSION} bpe-subwords object")
+                return cls(obj["vocab"], [tuple(m) for m in obj["merges"]])
+            except (KeyError, TypeError, ValueError) as e:
+                reason = f"missing field {e}" if isinstance(e, KeyError) else e
+                raise ValueError(f"{path}: bad subword model file: {reason}") from e
 
 
 def _word_forms(corpus: Iterable[Document]) -> Counter:

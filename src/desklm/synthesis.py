@@ -239,16 +239,13 @@ def prompt_key(prompt: str) -> str:
 class MockCompletionClient:
     """Offline client returning canned responses keyed by prompt hash.
 
-    Responses come from an in-memory mapping (prompt text or prompt key ->
-    response) and/or a directory of `<prompt_key>.txt` files.
+    Responses come from an in-memory mapping (prompt text -> response)
+    and/or a directory of `<prompt_key>.txt` files.
     """
 
     def __init__(self, responses: Mapping[str, str] | None = None,
                  directory: str | Path | None = None):
-        self._responses: dict[str, str] = {}
-        if responses:
-            for key, value in responses.items():
-                self._responses[key if len(key) == 16 and _is_hex(key) else prompt_key(key)] = value
+        self._responses = {prompt_key(p): r for p, r in (responses or {}).items()}
         self._directory = Path(directory) if directory is not None else None
         self.calls = 0
 
@@ -262,10 +259,6 @@ class MockCompletionClient:
             if path.exists():
                 return path.read_text(encoding="utf-8")
         raise CompletionError(f"no canned response for prompt key {key}")
-
-
-def _is_hex(s: str) -> bool:
-    return all(c in "0123456789abcdef" for c in s)
 
 
 def write_canned_response(directory: str | Path, prompt: str, response: str) -> Path:

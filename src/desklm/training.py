@@ -26,7 +26,8 @@ import numpy as np
 from . import autograd as ag
 from . import model as mdl
 from .autograd import Tensor
-from .corpus import Document, GrammarExample, WiktionaryEntry, corpus_digest
+from .corpus import (Document, GrammarExample, WiktionaryEntry, corpus_digest,
+                     read_records)
 from .model import ModelConfig, ParameterSet
 from .subwords import (SubwordModel, pack_examples, PAD_ID, CLS_ID, SEP_ID,
                        MASK_ID, NUM_SPECIALS)
@@ -214,14 +215,20 @@ class TrainLog:
 
     @classmethod
     def read(cls, path: str | Path) -> "TrainLog":
-        with open(path, encoding="utf-8") as f:
-            lines = [json.loads(line) for line in f if line.strip()]
-        if not lines or lines[0].get("kind") != "manifest":
+        out = None
+
+        def build(rec: dict, _: int) -> None:
+            nonlocal out
+            if out is not None:
+                out.append(rec["step"], rec["lr"], rec["losses"], rec["total"])
+            elif rec.get("kind") == "manifest":
+                out = cls({k: v for k, v in rec.items() if k != "kind"})
+            else:
+                raise ValueError("first record must be the manifest")
+
+        read_records(path, build, "train log")
+        if out is None:
             raise ValueError(f"{path}: first record must be the manifest")
-        manifest = {k: v for k, v in lines[0].items() if k != "kind"}
-        out = cls(manifest)
-        for rec in lines[1:]:
-            out.append(rec["step"], rec["lr"], rec["losses"], rec["total"])
         return out
 
 
@@ -424,13 +431,16 @@ def _train(docs: Sequence[Document], subwords: SubwordModel,
                 continue
             grads = mdl.backward(params, mlm_loss)
             losses = {"mlm": float(mlm_loss.data)}
+            # free the graph now, not when the next step rebinds the name
+            del mlm_loss
             total = losses["mlm"]
             if objective:
                 aux_loss = _aux_step_loss(params, next(aux_batches), aux_drop)
                 g_aux = mdl.backward(params, aux_loss)
+                losses[objective] = float(aux_loss.data)
+                del aux_loss
                 if lam != 0.0:
                     grads = {k: grads[k] + lam * g_aux[k] for k in grads}
-                losses[objective] = float(aux_loss.data)
                 total += lam * losses[objective]
             lr = lr_at(step, cfg, total_steps)
             adamw_step(params, grads, state, lr, cfg)

@@ -365,6 +365,16 @@ def test_train_mlm_wikt_strips_decoder(tmp_path, corpus_path):
     assert first["n_aux_items"] >= 1
 
 
+@pytest.mark.parametrize("flags", [["--mlm", "--decoder-layers", "2"],
+                                   ["--mlm-gram", "--decoder-layers", "0"]])
+def test_decoder_layers_misuse_is_usage_error(tmp_path, corpus_path, capsys, flags):
+    code = cli.main(["train", "--corpus", str(corpus_path), "--grammar", "g.jsonl",
+                     "--out-dir", str(tmp_path / "o")] + flags)
+    assert code == cli.EXIT_USAGE
+    assert "--decoder-layers" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_train_mlm_gram(tmp_path, corpus_path):
     words = make_pseudo_corpus(1, seed=11, lexicon_size=40)[0].text.split()
     gram = tmp_path / "gram.jsonl"
@@ -467,3 +477,52 @@ def test_eval_every_pair_over_length_is_data_error(tmp_path, eval_artifacts, cap
                      "--pairs", str(pairs_path), "--out-dir", str(tmp_path / "o")])
     assert code == cli.EXIT_DATA
     assert "longer than the model's 64 positions" in capsys.readouterr().err
+
+
+# -- one error path for malformed records ---------------------------------------
+
+_DOC = '{"id": "d1", "source": "unconstrained", "text": "a b c"}'
+_PAIR = '{"good": "the cat sleeps", "bad": "the cat sleep", "phenomenon": "sv"}'
+_BLIMP = '{"sentence_good": "the cat sleeps", "sentence_bad": "the cat sleep", "UID": "sv"}'
+
+
+def _eval_flags(art: Path, out: str) -> list[str]:
+    return ["eval", "--checkpoint", str(art / cli.CHECKPOINT_NAME),
+            "--out-dir", str(out)]
+
+
+# case: (file name, lines, line of the bad record or None for whole-file
+# formats, argv for the bad file, the shared corpus and eval artifacts)
+BAD_INPUTS = {
+    "documents": ("docs.jsonl", [_DOC, '{"source": "unconstrained", "text": 5}'], 2,
+                  lambda bad, corpus, art, out: ["corpus", "stats", bad]),
+    "triplets": ("trip.jsonl", ['{"sent0": 5, "sent1": "b c", "hard_neg": "d e"}'], 1,
+                 lambda bad, corpus, art, out: ["corpus", "flatten-triplets",
+                                                "--input", bad, "--out-dir", out]),
+    "grammar": ("gram.jsonl", ['{"sentence": "a b", "topic": "t", "tags": []}',
+                               '{"sentence": "a b", "topic": "t", "tags": [5]}'], 2,
+                lambda bad, corpus, art, out: ["train", "--mlm-gram", "--corpus", corpus,
+                                               "--grammar", bad, "--out-dir", out]
+                + AUX_FLAGS),
+    "pairs": ("pairs.jsonl", [_PAIR, '{"good": ["a"], "bad": "b", "phenomenon": "p"}'], 2,
+              lambda bad, corpus, art, out: _eval_flags(art, out)
+              + ["--subwords", str(art / cli.SUBWORDS_NAME), "--pairs", bad]),
+    "blimp": ("blimp.jsonl", [_BLIMP, '{"sentence_good": "a", "sentence_bad": 5, "UID": "u"}'],
+              2, lambda bad, corpus, art, out: _eval_flags(art, out)
+              + ["--subwords", str(art / cli.SUBWORDS_NAME), "--pairs", bad, "--blimp"]),
+    "subwords": ("subwords.json", ["[]"], None,
+                 lambda bad, corpus, art, out: _eval_flags(art, out)
+                 + ["--subwords", bad, "--toy", "subject-verb", "--n", "2"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_malformed_record_is_data_error_naming_file_and_line(
+        case, tmp_path, corpus_path, eval_artifacts, capsys):
+    name, lines, line, argv = BAD_INPUTS[case]
+    bad = tmp_path / name
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = cli.main(argv(str(bad), str(corpus_path), eval_artifacts, str(tmp_path / "o")))
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_DATA, err
+    assert f"data error: {bad}: " + (f"line {line}: bad " if line else "") in err

@@ -73,14 +73,50 @@ class TestTriplets:
         path = tmp_path / "t.jsonl"
         path.write_text(json.dumps({"sent0": "a", "sent1": "b", "hard_neg": "c"})
                         + "\n" + json.dumps({"sent0": "a", "sent1": "b"}) + "\n")
-        with pytest.raises(ValueError, match="line 2: missing field 'hard_neg'"):
+        with pytest.raises(ValueError) as err:
             cp.load_triplets(path)
+        assert str(err.value) == f"{path}: line 2: bad triplet record: missing field 'hard_neg'"
 
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "t.jsonl"
         path.write_text('{"sent0": "a", "sent1": "b", "hard_neg": "c"}\nnot json\n')
-        with pytest.raises(ValueError, match="line 2: malformed"):
+        with pytest.raises(ValueError) as err:
             cp.load_triplets(path)
+        assert str(err.value).startswith(f"{path}: line 2: bad triplet record: malformed JSON")
+
+
+class TestRecordReader:
+    """Every JSONL format goes through one reader with one error form."""
+
+    def _error(self, tmp_path, load, data: bytes) -> tuple[str, str]:
+        path = tmp_path / "r.jsonl"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as err:
+            load(path)
+        return str(path), str(err.value)
+
+    def test_mistyped_field_rejected_where_read(self, tmp_path):
+        path, msg = self._error(tmp_path, cp.load_documents,
+                                b'\n{"source": "unconstrained", "text": 5}\n')
+        assert msg == (f"{path}: line 2: bad document record: "
+                       "field 'text' must be a string, got int")
+
+    def test_non_object_line(self, tmp_path):
+        path, msg = self._error(tmp_path, cp.load_triplets, b'["a", "b", "c"]\n')
+        assert msg == f"{path}: line 1: bad triplet record: expected a JSON object, got list"
+
+    @pytest.mark.parametrize("tag,reason", [
+        (b'5', "tag must be an object, got int"),
+        (b'{"notion": "n", "value": ["a", 5]}', "tag 'n': words must be strings")])
+    def test_bad_tag(self, tmp_path, tag, reason):
+        path, msg = self._error(tmp_path, cp.load_grammar_examples,
+                                b'{"sentence": "a b", "tags": [' + tag + b']}\n')
+        assert msg == f"{path}: line 1: bad grammar record: {reason}"
+
+    def test_bad_utf8_names_line(self, tmp_path):
+        path, msg = self._error(tmp_path, cp.load_documents,
+                                b'{"source": "unconstrained", "text": "a"}\n\xff\n')
+        assert msg.startswith(f"{path}: line 2: bad document record: 'utf-8' codec")
 
 
 class TestWiktionary:
@@ -179,9 +215,13 @@ class TestManifest:
         assert str(exc.value).startswith(f"{path}: ")
         return str(exc.value)
 
-    def _manifest_text(self, kind="unconstrained", budget=5, total=10):
+    def _manifest_text(self, kind="unconstrained", budget=5, total=10, path="a.txt"):
         return json.dumps({"total_budget": total, "entries": [
-            {"path": "a.txt", "kind": kind, "budget": budget}]})
+            {"path": path, "kind": kind, "budget": budget}]})
+
+    def test_non_string_path_names_the_file(self, tmp_path):
+        msg = self._load_written(tmp_path, self._manifest_text(path=5))
+        assert "field 'path' must be a string, got int" in msg
 
     def test_unknown_kind_names_the_file(self, tmp_path):
         msg = self._load_written(tmp_path, self._manifest_text(kind="novel"))

@@ -1,6 +1,7 @@
 """Masking statistics, schedule/optimizer exactness, and training loops."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -297,6 +298,28 @@ class TestTrainLog:
                         '"losses": {}, "total": 0}\n')
         with pytest.raises(ValueError, match="manifest"):
             tr.TrainLog.read(path)
+
+    def _log_with_second_line(self, path, line):
+        t = tr.TrainLog({"objective": "mlm"})
+        t.write(path)
+        with open(path, "a", encoding="utf-8") as f:
+            f.write(line + "\n")
+
+    def test_missing_key_names_file_and_line(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        self._log_with_second_line(
+            path, '{"kind": "step", "step": 0, "losses": {}, "total": 0}')
+        with pytest.raises(ValueError) as err:
+            tr.TrainLog.read(path)
+        assert str(err.value) == f"{path}: line 2: bad train log record: missing field 'lr'"
+
+    def test_bad_json_names_file_and_line(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        self._log_with_second_line(path, '{"kind": "step", "step": 0,')
+        with pytest.raises(ValueError) as err:
+            tr.TrainLog.read(path)
+        assert str(err.value).startswith(
+            f"{path}: line 2: bad train log record: malformed JSON")
 
 
 @pytest.fixture(scope="module")
@@ -644,6 +667,40 @@ class TestMultiObjective:
         first = tlog.steps[0]["losses"]["definition"]
         last = tlog.steps[-1]["losses"]["definition"]
         assert last < 0.5 * first
+
+
+class TestStepGraphFreed:
+    """Each step's autograd graph is released before the next forward pass,
+    so peak memory holds one step's graph, not two."""
+
+    @pytest.mark.parametrize("objective", [None, "grammar"])
+    def test_previous_losses_dead_when_next_step_starts(self, objective, monkeypatch,
+                                                        mo_docs, grammar_subwords):
+        refs, alive = [], []
+
+        def watched(real, starts_step):
+            def step_loss(*args, **kwargs):
+                if starts_step:
+                    alive.extend(ref() is not None for ref in refs)
+                    refs.clear()
+                loss = real(*args, **kwargs)
+                if loss is not None:  # a Tensor takes no weakref; its array dies with it
+                    refs.append(weakref.ref(loss.data))
+                return loss
+            return step_loss
+
+        monkeypatch.setattr(tr, "_mlm_step_loss", watched(tr._mlm_step_loss, True))
+        monkeypatch.setattr(tr, "_aux_step_loss", watched(tr._aux_step_loss, False))
+        if objective:
+            tr.train_multi_objective(mo_docs, grammar_subwords,
+                                     tr.build_grammar_batch([TAGGED], grammar_subwords),
+                                     objective, tiny_model(vocab_size=95, decoder_layers=1),
+                                     tiny_training())
+        else:
+            tr.train_mlm(mo_docs, grammar_subwords, tiny_model(vocab_size=95),
+                         tiny_training())
+        assert len(alive) >= (4 if objective else 2)
+        assert not any(alive)
 
 
 @pytest.fixture(scope="module")
