@@ -279,7 +279,9 @@ def gelu(a: Tensor) -> Tensor:
             s += 1.0
             s *= _GELU_C
             s *= x
-            s *= 1.0 - t * t
+            w = t * t
+            np.subtract(1.0, w, out=w)
+            s *= w
             s += t
             s += 1.0
             s *= 0.5
@@ -291,11 +293,14 @@ def gelu(a: Tensor) -> Tensor:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then apply learned gain and bias."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    # x - mean once, then squared and scaled in place: the same operations,
+    # in the same order, as np.var and (x - mean) * inv, so the same bits
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = (xhat * xhat).sum(axis=-1, keepdims=True) / x.data.shape[-1]
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = gain.data * xhat + bias.data
+    xhat *= inv
+    out = xhat * gain.data
+    out += bias.data
 
     def bwd(g):
         if x.requires_grad:

@@ -266,7 +266,7 @@ def cmd_eval(args) -> int:
     if args.pairs:
         inputs.append(Path(args.pairs))
     write_run_manifest(out, "eval", _resolved_config(args), inputs, args.seed,
-                       ["report.json", "report.txt"])
+                       ["report.json", "report.txt", "scores.jsonl"])
     params = mdl.load_checkpoint(args.checkpoint)
     subwords = SubwordModel.load(args.subwords)
     if args.pairs:
@@ -281,6 +281,7 @@ def cmd_eval(args) -> int:
                                pairs_id=pairs_id)
     (out / "report.json").write_text(report.to_json(), encoding="utf-8")
     (out / "report.txt").write_text(report.to_text(), encoding="utf-8")
+    (out / "scores.jsonl").write_text(report.scores_to_jsonl(), encoding="utf-8")
     print(report.to_text(), end="")
     return EXIT_OK
 

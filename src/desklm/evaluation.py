@@ -44,10 +44,12 @@ class MinimalPair:
 
 class EvalReport:
     """Per-phenomenon correct/total counts of the scored pairs, the number
-    of pairs skipped as too long for the model, and identifying strings."""
+    of pairs skipped as too long for the model, identifying strings, and
+    optionally one score record per input pair (see `evaluate_suite`)."""
 
     def __init__(self, model_id: str, pairs_id: str,
-                 counts: dict[str, tuple[int, int]], skipped: int = 0):
+                 counts: dict[str, tuple[int, int]], skipped: int = 0,
+                 scores: Sequence[dict] = ()):
         for name, (correct, total) in counts.items():
             if not 0 <= correct <= total:
                 raise ValueError(f"bad counts for {name!r}: {correct}/{total}")
@@ -57,6 +59,7 @@ class EvalReport:
         self.pairs_id = pairs_id
         self.counts = {k: (int(c), int(t)) for k, (c, t) in counts.items()}
         self.skipped = int(skipped)
+        self.scores = list(scores)
 
     def accuracy(self, phenomenon: str) -> float:
         c, t = self.counts[phenomenon]
@@ -95,6 +98,10 @@ class EvalReport:
             raise ValueError("pair_count does not match per-phenomenon totals")
         return report
 
+    def scores_to_jsonl(self) -> str:
+        """The per-pair score records, one JSON line each, in input order."""
+        return "".join(json.dumps(rec) + "\n" for rec in self.scores)
+
     def to_text(self) -> str:
         width = max([len(n) for n in self.counts] + [len("phenomenon")])
         lines = [f"{'phenomenon':<{width}}  correct  total  accuracy"]
@@ -107,9 +114,19 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
+# rows of masked copies per encoder pass: a block's (rows, d_ff) FFN
+# activation is then about 1 MB, so the elementwise ops between GEMMs run
+# in a 2 MB L2 cache instead of streaming an (n * n, d_ff) array from memory
+_PLL_ROWS = 256
+
+
 def pseudo_log_likelihood(params: ParameterSet, subwords: SubwordModel,
                           sentence: str) -> float:
-    """Sum of masked-position log-probabilities of the original tokens."""
+    """Sum of masked-position log-probabilities of the original tokens.
+
+    Copy i of the sentence has position i masked; the n copies are scored
+    in blocks of at most `_PLL_ROWS` rows (at least one copy a block).
+    """
     ids = subwords.encode(sentence)
     n = len(ids)
     if n == 0:
@@ -119,15 +136,20 @@ def pseudo_log_likelihood(params: ParameterSet, subwords: SubwordModel,
             f"sentence is {n} tokens, model accepts {params.config.max_positions}"
         )
     arr = np.asarray(ids, dtype=np.int64)
-    batch = np.tile(arr, (n, 1))
-    np.fill_diagonal(batch, MASK_ID)
+    per_block = max(1, _PLL_ROWS // n)
+    logp = np.empty(n)
     with ag.no_grad():
-        out = mdl.encoder_forward(params, batch, np.ones_like(batch, dtype=bool))
-        # the head sees only row i of copy i, the masked position
-        flat = ag.reshape(out.hidden, (n * n, params.config.d_model))
-        diag = ag.gather_rows(flat, np.arange(n) * (n + 1))
-        logp = ag.log_probs(mdl.mlm_logits(params, diag))
-    return float(logp[np.arange(n), arr].sum())
+        for start in range(0, n, per_block):
+            pos = np.arange(start, min(start + per_block, n))
+            k = len(pos)
+            batch = np.tile(arr, (k, 1))
+            batch[np.arange(k), pos] = MASK_ID
+            out = mdl.encoder_forward(params, batch, np.ones_like(batch, dtype=bool))
+            # the head sees only the masked row of each copy
+            flat = ag.reshape(out.hidden, (k * n, params.config.d_model))
+            rows = ag.gather_rows(flat, np.arange(k) * n + pos)
+            logp[pos] = ag.log_probs(mdl.mlm_logits(params, rows))[np.arange(k), arr[pos]]
+    return float(logp.sum())
 
 
 def score_pair(params: ParameterSet, subwords: SubwordModel,
@@ -149,7 +171,10 @@ def evaluate_suite(params: ParameterSet, subwords: SubwordModel,
 
     A pair with a sentence longer than the model's positions is skipped
     and counted as such; a phenomenon whose pairs were all skipped is left
-    out of the report. Raises when every pair is skipped.
+    out of the report. Raises when every pair is skipped. The report's
+    `scores` hold one record per pair, in input order: good, bad,
+    phenomenon, then pll_good, pll_bad, margin and correct, or
+    `"skipped": true` for a skipped pair.
     """
     if not pairs:
         raise ValueError("no pairs to evaluate")
@@ -161,12 +186,20 @@ def evaluate_suite(params: ParameterSet, subwords: SubwordModel,
                          f"the model's {limit} positions")
     pll = {s: pseudo_log_likelihood(params, subwords, s) for s in _sentences(scored)}
     counts: dict[str, list[int]] = {}
-    for pair in scored:
-        c = counts.setdefault(pair.phenomenon, [0, 0])
-        c[0] += int(pll[pair.good] > pll[pair.bad])
-        c[1] += 1
+    scores = []
+    for pair in pairs:
+        rec = {"good": pair.good, "bad": pair.bad, "phenomenon": pair.phenomenon}
+        if pair.good in pll and pair.bad in pll:
+            good, bad = pll[pair.good], pll[pair.bad]
+            rec.update(pll_good=good, pll_bad=bad, margin=good - bad, correct=good > bad)
+            c = counts.setdefault(pair.phenomenon, [0, 0])
+            c[0] += int(rec["correct"])
+            c[1] += 1
+        else:
+            rec["skipped"] = True
+        scores.append(rec)
     return EvalReport(model_id, pairs_id, {k: (c, t) for k, (c, t) in counts.items()},
-                      skipped=len(pairs) - len(scored))
+                      skipped=len(pairs) - len(scored), scores=scores)
 
 
 # -- synthetic minimal pairs --------------------------------------------------

@@ -9,7 +9,6 @@ Gradients come from the autograd module and are finite-difference checked.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import struct
@@ -361,13 +360,13 @@ def save_checkpoint(params: ParameterSet, path: str | Path) -> None:
         "tensors": [[n, list(t.data.shape)] for n, t in params.items()],
     }
     raw = json.dumps(header, sort_keys=True).encode("utf-8")
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(struct.pack("<I", len(raw)))
-    buf.write(raw)
-    for _, t in params.items():
-        buf.write(t.data.astype("<f4").tobytes())
-    Path(path).write_bytes(buf.getvalue())
+    # tensors go to the file one at a time: no in-memory copy of the whole file
+    with open(path, "wb") as f:
+        f.write(CHECKPOINT_MAGIC)
+        f.write(struct.pack("<I", len(raw)))
+        f.write(raw)
+        for _, t in params.items():
+            f.write(np.ascontiguousarray(t.data, dtype="<f4"))
 
 
 def load_checkpoint(path: str | Path) -> ParameterSet:

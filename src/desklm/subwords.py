@@ -35,6 +35,13 @@ class SubwordModel:
     def __init__(self, vocab: Sequence[str], merges: Sequence[tuple[str, str]]):
         if tuple(vocab[:NUM_SPECIALS]) != SPECIAL_TOKENS:
             raise ValueError(f"vocab must start with the special tokens {SPECIAL_TOKENS}")
+        for i, token in enumerate(vocab):
+            if not isinstance(token, str):
+                raise ValueError(f"vocab entry {i} is not a string: {token!r}")
+        for r, m in enumerate(merges):
+            if not (isinstance(m, (list, tuple)) and len(m) == 2
+                    and all(isinstance(s, str) for s in m)):
+                raise ValueError(f"merge {r} is not a pair of strings: {m!r}")
         self.id_to_token: list[str] = list(vocab)
         self.token_to_id: dict[str, int] = {t: i for i, t in enumerate(self.id_to_token)}
         if len(self.token_to_id) != len(self.id_to_token):
@@ -123,7 +130,7 @@ class SubwordModel:
                 if (not isinstance(obj, dict) or obj.get("kind") != "bpe-subwords"
                         or obj.get("format_version") != FORMAT_VERSION):
                     raise ValueError(f"not a version-{FORMAT_VERSION} bpe-subwords object")
-                return cls(obj["vocab"], [tuple(m) for m in obj["merges"]])
+                return cls(obj["vocab"], obj["merges"])
             except (KeyError, TypeError, ValueError) as e:
                 reason = f"missing field {e}" if isinstance(e, KeyError) else e
                 raise ValueError(f"{path}: bad subword model file: {reason}") from e

@@ -14,6 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
+from desklm import autograd as ag
 from desklm import model as mdl
 from desklm.corpus import Document
 from desklm.model import ModelConfig, ParameterSet
@@ -162,6 +163,24 @@ def brute_force_pll(params: mdl.ParameterSet, subwords: SubwordModel,
         lse = np.logaddexp.reduce(logits)
         total += float(logits[ids[i]] - lse)
     return total
+
+
+def reference_pseudo_log_likelihood(params: mdl.ParameterSet, subwords: SubwordModel,
+                                    sentence: str) -> float:
+    """Reference PLL: all n masked copies in one (n, n) forward pass, the
+    single-batch form that `evaluation.pseudo_log_likelihood` splits into
+    row blocks."""
+    ids = subwords.encode(sentence)
+    n = len(ids)
+    arr = np.asarray(ids, dtype=np.int64)
+    batch = np.tile(arr, (n, 1))
+    np.fill_diagonal(batch, MASK_ID)
+    with ag.no_grad():
+        out = mdl.encoder_forward(params, batch, np.ones_like(batch, dtype=bool))
+        flat = ag.reshape(out.hidden, (n * n, params.config.d_model))
+        diag = ag.gather_rows(flat, np.arange(n) * (n + 1))
+        logp = ag.log_probs(mdl.mlm_logits(params, diag))
+    return float(logp[np.arange(n), arr].sum())
 
 
 def zero_params(config: mdl.ModelConfig) -> mdl.ParameterSet:

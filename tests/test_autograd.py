@@ -67,6 +67,26 @@ class TestElementwise:
         w = RNG.normal(size=7)
         gradcheck(lambda x: weighted_sum(ag.gelu(x), w), [a])
 
+    def test_gelu_gradient_bits_match_two_temporary_form(self):
+        x = RNG.normal(size=(3, 4, 6)) * 2
+        g = RNG.normal(size=x.shape)
+        a = ag.Tensor(x, requires_grad=True)
+        out = ag.gelu(a)
+        out._backward_fn(g)
+        # the forward's t, then the backward with (1 - t * t) as two temporaries
+        t = np.tanh((x * x * x * ag._GELU_A + x) * ag._GELU_C)
+        s = x * x
+        s *= 3.0 * ag._GELU_A
+        s += 1.0
+        s *= ag._GELU_C
+        s *= x
+        s *= 1.0 - t * t
+        s += t
+        s += 1.0
+        s *= 0.5
+        s *= g
+        assert a.grad.tobytes() == s.tobytes()
+
     def test_gelu_known_values(self):
         out = ag.gelu(ag.constant([0.0])).data
         np.testing.assert_allclose(out, [0.0], atol=1e-12)
@@ -161,6 +181,17 @@ class TestNormalization:
         w = RNG.normal(size=30)
         gradcheck(lambda a, g, b: weighted_sum(ag.layer_norm(a, g, b), w),
                   [x, gain, bias])
+
+    def test_layer_norm_forward_bits_match_var_expression(self):
+        # a strided 3-D view, so the reductions do not run over contiguous rows
+        x = (RNG.normal(size=(5, 3, 14)) * 3 + 2).swapaxes(0, 1)[:, :, ::2]
+        gain = RNG.normal(size=(7,)) + 1.0
+        bias = RNG.normal(size=(7,))
+        out = ag.layer_norm(ag.constant(x), ag.constant(gain), ag.constant(bias))
+        mu = x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+        expect = gain * ((x - mu) * inv) + bias
+        assert out.data.tobytes() == expect.tobytes()
 
     def test_layer_norm_output_statistics(self):
         x = ag.constant(RNG.normal(size=(4, 8)) * 3 + 7)

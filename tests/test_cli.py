@@ -19,7 +19,7 @@ from desklm import corpus as cp
 from desklm import evaluation as ev
 from desklm import model as mdl
 from desklm import synthesis as sy
-from desklm.subwords import train_subwords
+from desklm.subwords import SPECIAL_TOKENS, train_subwords
 
 from helpers import make_pseudo_corpus
 
@@ -459,6 +459,35 @@ def test_eval_pairs_file(tmp_path, eval_artifacts):
     assert report.pair_count == 5
 
 
+def test_eval_writes_pair_scores(tmp_path, eval_artifacts):
+    pairs = ev.generate_toy_minimal_pairs("subject-verb", 12, seed=4)
+    pairs += ev.generate_toy_minimal_pairs("determiner-noun", 8, seed=4)
+    pairs.insert(5, ev.MinimalPair(" ".join(["cat"] * 70), "the cat sleeps", "long"))
+    pairs_path = tmp_path / "pairs.jsonl"
+    ev.save_minimal_pairs(pairs, pairs_path)
+    out_dir = tmp_path / "scores"
+    code = cli.main(["eval",
+                     "--checkpoint", str(eval_artifacts / cli.CHECKPOINT_NAME),
+                     "--subwords", str(eval_artifacts / cli.SUBWORDS_NAME),
+                     "--pairs", str(pairs_path), "--out-dir", str(out_dir)])
+    assert code == cli.EXIT_OK
+    recs = [json.loads(line)
+            for line in (out_dir / "scores.jsonl").read_text("utf-8").splitlines()]
+    assert [(r["good"], r["bad"]) for r in recs] == [(p.good, p.bad) for p in pairs]
+    assert [r.get("skipped", False) for r in recs] == [k == 5 for k in range(len(pairs))]
+    report = json.loads((out_dir / "report.json").read_text("utf-8"))
+    counts: dict[str, list[int]] = {}
+    for r in recs:
+        if not r.get("skipped"):
+            c = counts.setdefault(r["phenomenon"], [0, 0])
+            c[0] += r["correct"]
+            c[1] += 1
+    assert counts == {name: [rec["correct"], rec["total"]]
+                      for name, rec in report["phenomena"].items()}
+    manifest = json.loads((out_dir / cli.MANIFEST_NAME).read_text("utf-8"))
+    assert "scores.jsonl" in manifest["artifacts"]
+
+
 def test_eval_missing_checkpoint_is_data_error(tmp_path, eval_artifacts, capsys):
     code = cli.main(["eval", "--checkpoint", str(tmp_path / "absent.bin"),
                      "--subwords", str(eval_artifacts / cli.SUBWORDS_NAME),
@@ -484,6 +513,11 @@ def test_eval_every_pair_over_length_is_data_error(tmp_path, eval_artifacts, cap
 _DOC = '{"id": "d1", "source": "unconstrained", "text": "a b c"}'
 _PAIR = '{"good": "the cat sleeps", "bad": "the cat sleep", "phenomenon": "sv"}'
 _BLIMP = '{"sentence_good": "the cat sleeps", "sentence_bad": "the cat sleep", "UID": "sv"}'
+
+
+def _subwords_json(vocab: list, merges: list) -> str:
+    return json.dumps({"format_version": 1, "kind": "bpe-subwords",
+                       "vocab": list(SPECIAL_TOKENS) + vocab, "merges": merges})
 
 
 def _eval_flags(art: Path, out: str) -> list[str]:
@@ -513,6 +547,12 @@ BAD_INPUTS = {
     "subwords": ("subwords.json", ["[]"], None,
                  lambda bad, corpus, art, out: _eval_flags(art, out)
                  + ["--subwords", bad, "--toy", "subject-verb", "--n", "2"]),
+    "subwords-vocab": ("subwords.json", [_subwords_json(["a", 7], [])], None,
+                       lambda bad, corpus, art, out: _eval_flags(art, out)
+                       + ["--subwords", bad, "--toy", "subject-verb", "--n", "2"]),
+    "subwords-merges": ("subwords.json", [_subwords_json(["a", "b"], [["a", "b", "c"]])], None,
+                        lambda bad, corpus, art, out: _eval_flags(art, out)
+                        + ["--subwords", bad, "--toy", "subject-verb", "--n", "2"]),
 }
 
 

@@ -9,9 +9,9 @@ import pytest
 from desklm import evaluation as ev
 from desklm import model as mdl
 from desklm.corpus import Document
-from desklm.subwords import SPECIAL_TOKENS, UNK_ID, SubwordModel, train_subwords
+from desklm.subwords import MASK_ID, SPECIAL_TOKENS, UNK_ID, SubwordModel, train_subwords
 
-from helpers import brute_force_pll, zero_params
+from helpers import brute_force_pll, reference_pseudo_log_likelihood, zero_params
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +184,84 @@ class TestEvaluateSuite:
         with pytest.raises(ValueError, match="all 1 pairs .* longer than the model's 64"):
             ev.evaluate_suite(small_params, toy_subwords,
                               [ev.MinimalPair(long, "the cat sleeps", "sv")])
+
+
+class TestRowBlocks:
+    """Masked copies scored in blocks of at most `_PLL_ROWS` rows."""
+
+    LETTERS = "abcdefgh"
+
+    @pytest.fixture(scope="class")
+    def letters(self):
+        # no merges: a word of n letters is n tokens
+        return SubwordModel(list(SPECIAL_TOKENS) + list(self.LETTERS), [])
+
+    @pytest.fixture(scope="class")
+    def params(self):
+        cfg = mdl.ModelConfig(vocab_size=len(SPECIAL_TOKENS) + len(self.LETTERS),
+                              n_layers=2, n_heads=2, d_model=16, d_ff=32,
+                              max_positions=64, dropout=0.0, seed=5)
+        return mdl.init_params(cfg)
+
+    def word(self, n: int) -> str:
+        rng = np.random.default_rng(n)
+        return "".join(self.LETTERS[k] for k in rng.integers(len(self.LETTERS), size=n))
+
+    # one block, an exact fit, 15 + 2 copies, and 4 copies a block
+    @pytest.mark.parametrize("n", [1, 2, 16, 17, 63, 64])
+    def test_matches_single_batch(self, letters, params, n):
+        sentence = self.word(n)
+        assert len(letters.encode(sentence)) == n
+        blocked = ev.pseudo_log_likelihood(params, letters, sentence)
+        single = reference_pseudo_log_likelihood(params, letters, sentence)
+        assert abs(blocked - single) <= 1e-12
+
+    @pytest.mark.parametrize("n, calls", [(16, 1), (17, 2), (63, 16), (64, 16)])
+    def test_blocks_bounded_and_cover_each_copy_once(self, letters, params, n, calls,
+                                                     monkeypatch):
+        ids = np.asarray(letters.encode(self.word(n)))
+        batches = []
+        original = mdl.encoder_forward
+
+        def spy(p, batch, mask):
+            batches.append(batch.copy())
+            return original(p, batch, mask)
+
+        monkeypatch.setattr(mdl, "encoder_forward", spy)
+        ev.pseudo_log_likelihood(params, letters, self.word(n))
+        assert len(batches) == calls
+        assert all(b.size <= ev._PLL_ROWS for b in batches)
+        rows = np.concatenate(batches)
+        masked = rows == MASK_ID
+        assert (masked.sum(axis=1) == 1).all()
+        assert sorted(masked.argmax(axis=1)) == list(range(n))
+        assert (np.where(masked, ids, rows) == ids).all()
+
+
+class TestPairScores:
+    def test_one_record_per_pair_in_input_order(self, toy_subwords, small_params):
+        long = " ".join(["cat"] * 70)
+        pairs = [ev.MinimalPair("the cat sleeps", "the cat sleep", "sv"),
+                 ev.MinimalPair(long, "the dog runs", "sv"),
+                 ev.MinimalPair("this dog runs", "these dog runs", "dn"),
+                 ev.MinimalPair("the cats sleep", "the cats sleeps", "sv")]
+        report = ev.evaluate_suite(small_params, toy_subwords, pairs)
+        recs = [json.loads(line) for line in report.scores_to_jsonl().splitlines()]
+        assert [(r["good"], r["bad"], r["phenomenon"]) for r in recs] == [
+            (p.good, p.bad, p.phenomenon) for p in pairs]
+        assert recs[1] == {"good": long, "bad": "the dog runs", "phenomenon": "sv",
+                           "skipped": True}
+        for p, r in zip(pairs, recs):
+            if r.get("skipped"):
+                continue
+            assert list(r) == ["good", "bad", "phenomenon", "pll_good", "pll_bad",
+                               "margin", "correct"]
+            assert r["pll_good"] == ev.pseudo_log_likelihood(small_params, toy_subwords,
+                                                             p.good)
+            assert r["pll_bad"] == ev.pseudo_log_likelihood(small_params, toy_subwords,
+                                                            p.bad)
+            assert r["margin"] == r["pll_good"] - r["pll_bad"]
+            assert r["correct"] == ev.score_pair(small_params, toy_subwords, p)
 
 
 class TestEvalReport:

@@ -1,5 +1,7 @@
 """Subword vocabulary training, encoding, persistence, and packing."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,16 @@ class TestSpecials:
         vocab = list(sw.SPECIAL_TOKENS) + ["a", "a"]
         with pytest.raises(ValueError, match="duplicate"):
             sw.SubwordModel(vocab, [])
+
+    def test_non_string_vocab_entry_rejected(self):
+        with pytest.raises(ValueError, match="vocab entry 7 is not a string: 7"):
+            sw.SubwordModel(list(sw.SPECIAL_TOKENS) + ["a", 7], [])
+
+    @pytest.mark.parametrize("merge", [("a", "b", "c"), ("a",), ("a", 5), "ab", None])
+    def test_merge_must_be_pair_of_strings(self, merge):
+        vocab = list(sw.SPECIAL_TOKENS) + ["a", "b", "ab"]
+        with pytest.raises(ValueError, match="merge 1 is not a pair of strings"):
+            sw.SubwordModel(vocab, [("a", "b"), merge])
 
 
 class TestTraining:
@@ -229,6 +241,18 @@ class TestPersistence:
         path.write_text('{"format_version": 2, "kind": "bpe-subwords", '
                         '"vocab": [], "merges": []}')
         with pytest.raises(ValueError, match="bad.json"):
+            sw.SubwordModel.load(path)
+
+    @pytest.mark.parametrize("vocab, merges", [
+        (["a", 7], [["a", "b"]]),
+        (["a", "b"], [["a", "b", "c"]]),
+    ])
+    def test_rejects_bad_tables_naming_file(self, tmp_path, vocab, merges):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"format_version": 1, "kind": "bpe-subwords",
+                                    "vocab": list(sw.SPECIAL_TOKENS) + vocab,
+                                    "merges": merges}))
+        with pytest.raises(ValueError, match=f"{path}: bad subword model file: "):
             sw.SubwordModel.load(path)
 
     def test_rejects_wrong_kind(self, tmp_path):
