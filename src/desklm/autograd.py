@@ -134,18 +134,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), bwd)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data * b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
-
-    return _make(out, (a, b), bwd)
-
-
 def scale(a: Tensor, s: float) -> Tensor:
     out = a.data * s
 
@@ -219,22 +207,8 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 # -- indexing ---------------------------------------------------------------
 
-def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup: out[..., :] = table[ids[...], :]."""
-    ids = np.asarray(ids)
-    out = table.data[ids]
-
-    def bwd(g):
-        if table.requires_grad:
-            if table.grad is None:
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, ids, g)
-
-    return _make(out, (table,), bwd)
-
-
-def gather_rows(a: Tensor, index: np.ndarray) -> Tensor:
-    """Select rows of a 2-D tensor: out[i] = a[index[i]]."""
+def _gather(a: Tensor, index: np.ndarray) -> Tensor:
+    """out[...] = a[index[...]]; backward scatter-adds into a's rows."""
     index = np.asarray(index)
     out = a.data[index]
 
@@ -245,6 +219,16 @@ def gather_rows(a: Tensor, index: np.ndarray) -> Tensor:
             np.add.at(a.grad, index, g)
 
     return _make(out, (a,), bwd)
+
+
+def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
+    """Row lookup: out[..., :] = table[ids[...], :]."""
+    return _gather(table, ids)
+
+
+def gather_rows(a: Tensor, index: np.ndarray) -> Tensor:
+    """Select rows of a 2-D tensor: out[i] = a[index[i]]."""
+    return _gather(a, index)
 
 
 # -- nonlinearities ---------------------------------------------------------
@@ -342,12 +326,16 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
     if p == 0.0:
         return a
-    keep = (rng.random(a.data.shape) >= p) / (1.0 - p)
+    # a bool mask, an eighth of a float one; x * keep * (1 / (1 - p)) is the
+    # same double as x * (keep / (1 - p)), signed zeros included
+    keep = rng.random(a.data.shape) >= p
+    inv = 1.0 / (1.0 - p)
     out = a.data * keep
+    out *= inv
 
     def bwd(g):
         if a.requires_grad:
-            a._accumulate(g * keep)
+            a._accumulate(g * keep * inv)
 
     return _make(out, (a,), bwd)
 

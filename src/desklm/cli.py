@@ -14,7 +14,7 @@ import hashlib
 import json
 import logging
 import sys
-from dataclasses import asdict
+from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
@@ -168,10 +168,10 @@ def cmd_synth_generate(args) -> int:
         notions = notions[: args.num_notions]
     out = Path(args.out_dir)
     write_run_manifest(out, "synth generate", _resolved_config(args), [],
-                       args.seed, ["dataset.jsonl"])
+                       None, ["dataset.jsonl"])
     examples = sy.generate_notion_dataset(
         client, notions, per_notion=args.per_notion, tag_count=args.tag_count,
-        tag_notions=args.tag_notions, seed=args.seed, chunk_size=args.chunk_size,
+        tag_notions=args.tag_notions, chunk_size=args.chunk_size,
         retries=args.retries)
     cp.save_grammar_examples(out / "dataset.jsonl", examples)
     tagged = sum(1 for e in examples if e.tags)
@@ -181,15 +181,15 @@ def cmd_synth_generate(args) -> int:
 
 # -- train --------------------------------------------------------------------
 
-def _model_config(args, vocab_size: int, decoder_layers: int) -> mdl.ModelConfig:
+def _model_config(args) -> mdl.ModelConfig:
     return mdl.ModelConfig(
-        vocab_size=vocab_size,
+        vocab_size=args.vocab_size,
         n_layers=args.layers,
         n_heads=args.heads,
         d_model=args.d_model,
         d_ff=args.d_ff,
         max_positions=max(64, args.max_positions or args.context_size),
-        decoder_layers=decoder_layers,
+        decoder_layers=0 if args.mlm else args.decoder_layers or 2,
         dropout=args.dropout,
         seed=args.seed,
     )
@@ -216,6 +216,11 @@ def cmd_train(args) -> int:
     if args.decoder_layers is not None and (args.mlm or args.decoder_layers < 1):
         raise UsageError("--decoder-layers takes a count >= 1 and only with "
                          "--mlm-wikt or --mlm-gram")
+    try:
+        cfg = _training_config(args)
+        model_cfg = _model_config(args)
+    except ValueError as e:
+        raise UsageError(str(e)) from e
     out = Path(args.out_dir)
     inputs = [Path(args.corpus)]
     if args.wiktionary:
@@ -234,12 +239,10 @@ def cmd_train(args) -> int:
         subwords = train_subwords(docs, args.vocab_size)
     subwords.save(out / SUBWORDS_NAME)
 
-    cfg = _training_config(args)
+    model_cfg = replace(model_cfg, vocab_size=subwords.vocab_size)
     if args.mlm:
-        model_cfg = _model_config(args, subwords.vocab_size, decoder_layers=0)
         params, tlog = tr.train_mlm(docs, subwords, model_cfg, cfg)
     else:
-        model_cfg = _model_config(args, subwords.vocab_size, args.decoder_layers or 2)
         if args.mlm_wikt:
             entries = cp.parse_wiktionary_csv(args.wiktionary)
             items = tr.build_definition_batch(entries, subwords)
@@ -344,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--tag-notions", type=int, default=50)
     p_gen.add_argument("--chunk-size", type=int, default=25)
     p_gen.add_argument("--retries", type=int, default=3)
-    p_gen.add_argument("--seed", type=int, default=0)
     p_gen.set_defaults(func=cmd_synth_generate)
 
     # train

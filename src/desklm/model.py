@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
-from .subwords import PAD_ID, CLS_ID, SEP_ID, MARK_ID, NUM_SPECIALS
+from .subwords import PAD_ID, MARK_ID, NUM_SPECIALS
 
 MASK_VALUE = -1e30
 CHECKPOINT_MAGIC = b"DLMCKPT1"
@@ -206,6 +206,41 @@ def _embed(p: ParameterSet, ids: np.ndarray, dropout_rng) -> Tensor:
     return _maybe_dropout(x, cfg.dropout, dropout_rng)
 
 
+def _ffn(p: ParameterSet, prefix: str, x: Tensor) -> Tensor:
+    """GELU feed-forward: gelu(x @ w1 + b1) @ w2 + b2."""
+    hid = ag.gelu(ag.add(ag.matmul(x, p[f"{prefix}.w1"]), p[f"{prefix}.b1"]))
+    return ag.add(ag.matmul(hid, p[f"{prefix}.w2"]), p[f"{prefix}.b2"])
+
+
+def _stack(p: ParameterSet, prefix: str, ids: np.ndarray, self_mask: np.ndarray,
+           self_probs: list[np.ndarray] | None, dropout_rng,
+           memory: Tensor | None = None, cross_mask: np.ndarray | None = None,
+           cross_probs: list[np.ndarray] | None = None) -> Tensor:
+    """Embed ids and run the `prefix` ("enc" or "dec") layers and final norm.
+
+    Each layer takes pre-LN residual steps x + dropout(sublayer(ln(x)))
+    around self-attention, then cross-attention over `memory` when one is
+    given, then the feed-forward.
+    """
+    cfg = p.config
+    x = _embed(p, ids, dropout_rng)
+
+    def residual(x: Tensor, ln: str, sublayer) -> Tensor:
+        pre = ag.layer_norm(x, p[f"{ln}.g"], p[f"{ln}.b"])
+        return ag.add(x, _maybe_dropout(sublayer(pre), cfg.dropout, dropout_rng))
+
+    n_layers = cfg.n_layers if prefix == "enc" else cfg.decoder_layers
+    for i in range(n_layers):
+        layer = f"{prefix}.{i}"
+        x = residual(x, f"{layer}.ln1", lambda pre: _attention(
+            p, f"{layer}.attn", pre, pre, self_mask, self_probs))
+        if memory is not None:
+            x = residual(x, f"{layer}.lnc", lambda pre: _attention(
+                p, f"{layer}.cross", pre, memory, cross_mask, cross_probs))
+        x = residual(x, f"{layer}.ln2", lambda pre: _ffn(p, f"{layer}.ffn", pre))
+    return ag.layer_norm(x, p[f"{prefix}_ln.g"], p[f"{prefix}_ln.b"])
+
+
 def encoder_forward(params: ParameterSet, token_ids,
                     attention_mask: np.ndarray | None = None,
                     dropout_rng: np.random.Generator | None = None) -> EncoderOutput:
@@ -223,19 +258,8 @@ def encoder_forward(params: ParameterSet, token_ids,
         raise ValueError("attention mask shape must match token ids")
     add_mask = np.where(attention_mask, 0.0, MASK_VALUE)[:, None, None, :]
 
-    x = _embed(params, ids, dropout_rng)
     probs: list[np.ndarray] = []
-    for i in range(cfg.n_layers):
-        pre = ag.layer_norm(x, params[f"enc.{i}.ln1.g"], params[f"enc.{i}.ln1.b"])
-        a = _attention(params, f"enc.{i}.attn", pre, pre, add_mask, probs)
-        x = ag.add(x, _maybe_dropout(a, cfg.dropout, dropout_rng))
-        pre = ag.layer_norm(x, params[f"enc.{i}.ln2.g"], params[f"enc.{i}.ln2.b"])
-        f = ag.add(ag.matmul(ag.gelu(ag.add(ag.matmul(pre, params[f"enc.{i}.ffn.w1"]),
-                                            params[f"enc.{i}.ffn.b1"])),
-                             params[f"enc.{i}.ffn.w2"]),
-                   params[f"enc.{i}.ffn.b2"])
-        x = ag.add(x, _maybe_dropout(f, cfg.dropout, dropout_rng))
-    x = ag.layer_norm(x, params["enc_ln.g"], params["enc_ln.b"])
+    x = _stack(params, "enc", ids, add_mask, probs, dropout_rng)
     return EncoderOutput(hidden=x, attention_probs=probs)
 
 
@@ -273,21 +297,7 @@ def decoder_forward(params: ParameterSet, target_ids, memory: Tensor,
             raise ValueError("memory mask shape must match memory slots")
         cross_mask = np.where(memory_mask, 0.0, MASK_VALUE)[:, None, None, :]
 
-    x = _embed(params, ids, dropout_rng)
-    for i in range(cfg.decoder_layers):
-        pre = ag.layer_norm(x, params[f"dec.{i}.ln1.g"], params[f"dec.{i}.ln1.b"])
-        a = _attention(params, f"dec.{i}.attn", pre, pre, causal, None)
-        x = ag.add(x, _maybe_dropout(a, cfg.dropout, dropout_rng))
-        pre = ag.layer_norm(x, params[f"dec.{i}.lnc.g"], params[f"dec.{i}.lnc.b"])
-        c = _attention(params, f"dec.{i}.cross", pre, memory, cross_mask, cross_probs_out)
-        x = ag.add(x, _maybe_dropout(c, cfg.dropout, dropout_rng))
-        pre = ag.layer_norm(x, params[f"dec.{i}.ln2.g"], params[f"dec.{i}.ln2.b"])
-        f = ag.add(ag.matmul(ag.gelu(ag.add(ag.matmul(pre, params[f"dec.{i}.ffn.w1"]),
-                                            params[f"dec.{i}.ffn.b1"])),
-                             params[f"dec.{i}.ffn.w2"]),
-                   params[f"dec.{i}.ffn.b2"])
-        x = ag.add(x, _maybe_dropout(f, cfg.dropout, dropout_rng))
-    x = ag.layer_norm(x, params["dec_ln.g"], params["dec_ln.b"])
+    x = _stack(params, "dec", ids, causal, None, dropout_rng, memory, cross_mask, cross_probs_out)
     return ag.add(ag.matmul(x, params["dec_head.w"]), params["dec_head.b"])
 
 
@@ -333,21 +343,6 @@ def strip_decoder(params: ParameterSet) -> ParameterSet:
     kept = {n: t for n, t in params.items()
             if not (n.startswith("dec.") or n.startswith("dec_"))}
     return ParameterSet(cfg, kept)
-
-
-def greedy_decode(params: ParameterSet, memory: Tensor,
-                  memory_mask: np.ndarray | None = None,
-                  max_len: int = 32) -> list[int]:
-    """Greedy next-token decoding from CLS until SEP (test harness use)."""
-    out = [CLS_ID]
-    with ag.no_grad():
-        for _ in range(max_len):
-            logits = decoder_forward(params, np.asarray([out]), memory, memory_mask)
-            nxt = int(np.argmax(logits.data[0, -1]))
-            if nxt == SEP_ID:
-                break
-            out.append(nxt)
-    return out[1:]
 
 
 # -- checkpoint io -----------------------------------------------------------

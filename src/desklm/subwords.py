@@ -61,29 +61,14 @@ class SubwordModel:
         cached = self._word_cache.get(word)
         if cached is not None:
             return cached
-        symbols = list(word)
+        symbols = tuple(word)
         while len(symbols) > 1:
-            best_rank = None
-            for pair in zip(symbols, symbols[1:]):
-                r = self._ranks.get(pair)
-                if r is not None and (best_rank is None or r < best_rank):
-                    best_rank = r
-            if best_rank is None:
+            ranks = [r for r in map(self._ranks.get, zip(symbols, symbols[1:])) if r is not None]
+            if not ranks:
                 break
-            a, b = self.merges[best_rank]
-            merged: list[str] = []
-            i = 0
-            while i < len(symbols):
-                if i + 1 < len(symbols) and symbols[i] == a and symbols[i + 1] == b:
-                    merged.append(a + b)
-                    i += 2
-                else:
-                    merged.append(symbols[i])
-                    i += 1
-            symbols = merged
-        result = tuple(symbols)
-        self._word_cache[word] = result
-        return result
+            symbols = _merge_symbols(symbols, *self.merges[min(ranks)])
+        self._word_cache[word] = symbols
+        return symbols
 
     def encode(self, text: str) -> list[int]:
         """Tokenize text into ids; characters outside the alphabet become UNK."""

@@ -183,6 +183,71 @@ def reference_pseudo_log_likelihood(params: mdl.ParameterSet, subwords: SubwordM
     return float(logp[np.arange(n), arr].sum())
 
 
+def reference_encoder_forward(params: ParameterSet, token_ids,
+                              attention_mask: np.ndarray | None = None,
+                              dropout_rng: np.random.Generator | None = None
+                              ) -> mdl.EncoderOutput:
+    """Reference encoder: the layer loop `model.encoder_forward` ran before
+    it shared one layer stack with the decoder."""
+    cfg = params.config
+    ids = mdl._check_ids(token_ids, cfg.vocab_size)
+    if attention_mask is None:
+        attention_mask = ids != mdl.PAD_ID
+    attention_mask = np.asarray(attention_mask, dtype=bool)
+    if attention_mask.ndim == 1:
+        attention_mask = attention_mask[None, :]
+    add_mask = np.where(attention_mask, 0.0, mdl.MASK_VALUE)[:, None, None, :]
+
+    x = mdl._embed(params, ids, dropout_rng)
+    probs: list[np.ndarray] = []
+    for i in range(cfg.n_layers):
+        pre = ag.layer_norm(x, params[f"enc.{i}.ln1.g"], params[f"enc.{i}.ln1.b"])
+        a = mdl._attention(params, f"enc.{i}.attn", pre, pre, add_mask, probs)
+        x = ag.add(x, mdl._maybe_dropout(a, cfg.dropout, dropout_rng))
+        pre = ag.layer_norm(x, params[f"enc.{i}.ln2.g"], params[f"enc.{i}.ln2.b"])
+        f = ag.add(ag.matmul(ag.gelu(ag.add(ag.matmul(pre, params[f"enc.{i}.ffn.w1"]),
+                                            params[f"enc.{i}.ffn.b1"])),
+                             params[f"enc.{i}.ffn.w2"]),
+                   params[f"enc.{i}.ffn.b2"])
+        x = ag.add(x, mdl._maybe_dropout(f, cfg.dropout, dropout_rng))
+    x = ag.layer_norm(x, params["enc_ln.g"], params["enc_ln.b"])
+    return mdl.EncoderOutput(hidden=x, attention_probs=probs)
+
+
+def reference_decoder_forward(params: ParameterSet, target_ids, memory: ag.Tensor,
+                              memory_mask: np.ndarray | None = None,
+                              dropout_rng: np.random.Generator | None = None,
+                              cross_probs_out: list[np.ndarray] | None = None
+                              ) -> ag.Tensor:
+    """Reference decoder: the layer loop `model.decoder_forward` ran before
+    it shared one layer stack with the encoder."""
+    cfg = params.config
+    ids = mdl._check_ids(target_ids, cfg.vocab_size)
+    t = ids.shape[1]
+    causal = np.where(np.tril(np.ones((t, t), dtype=bool)), 0.0,
+                      mdl.MASK_VALUE)[None, None, :, :]
+    cross_mask = (None if memory_mask is None else
+                  np.where(memory_mask, 0.0, mdl.MASK_VALUE)[:, None, None, :])
+
+    x = mdl._embed(params, ids, dropout_rng)
+    for i in range(cfg.decoder_layers):
+        pre = ag.layer_norm(x, params[f"dec.{i}.ln1.g"], params[f"dec.{i}.ln1.b"])
+        a = mdl._attention(params, f"dec.{i}.attn", pre, pre, causal, None)
+        x = ag.add(x, mdl._maybe_dropout(a, cfg.dropout, dropout_rng))
+        pre = ag.layer_norm(x, params[f"dec.{i}.lnc.g"], params[f"dec.{i}.lnc.b"])
+        c = mdl._attention(params, f"dec.{i}.cross", pre, memory, cross_mask,
+                           cross_probs_out)
+        x = ag.add(x, mdl._maybe_dropout(c, cfg.dropout, dropout_rng))
+        pre = ag.layer_norm(x, params[f"dec.{i}.ln2.g"], params[f"dec.{i}.ln2.b"])
+        f = ag.add(ag.matmul(ag.gelu(ag.add(ag.matmul(pre, params[f"dec.{i}.ffn.w1"]),
+                                            params[f"dec.{i}.ffn.b1"])),
+                             params[f"dec.{i}.ffn.w2"]),
+                   params[f"dec.{i}.ffn.b2"])
+        x = ag.add(x, mdl._maybe_dropout(f, cfg.dropout, dropout_rng))
+    x = ag.layer_norm(x, params["dec_ln.g"], params["dec_ln.b"])
+    return ag.add(ag.matmul(x, params["dec_head.w"]), params["dec_head.b"])
+
+
 def zero_params(config: mdl.ModelConfig) -> mdl.ParameterSet:
     """A model whose every weight is zero: exactly uniform MLM logits."""
     params = mdl.init_params(config)

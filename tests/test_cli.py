@@ -375,6 +375,21 @@ def test_decoder_layers_misuse_is_usage_error(tmp_path, corpus_path, capsys, fla
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("flags, message", [(["--heads", "3"], "divisible by n_heads"),
+                                            (["--batch-size", "0"], "batch_size")])
+def test_bad_model_or_training_flag_is_usage_error_before_bpe(tmp_path, corpus_path,
+                                                             monkeypatch, capsys,
+                                                             flags, message):
+    def never(*args, **kwargs):
+        raise AssertionError("trained subwords before checking the flags")
+    monkeypatch.setattr(cli, "train_subwords", never)
+    code = cli.main(["train", "--mlm", "--corpus", str(corpus_path),
+                     "--out-dir", str(tmp_path / "o")] + flags)
+    assert code == cli.EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_train_mlm_gram(tmp_path, corpus_path):
     words = make_pseudo_corpus(1, seed=11, lexicon_size=40)[0].text.split()
     gram = tmp_path / "gram.jsonl"

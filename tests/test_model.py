@@ -10,7 +10,8 @@ from desklm import autograd as ag
 from desklm import model as mdl
 from desklm.subwords import CLS_ID, MARK_ID, PAD_ID, SEP_ID
 
-from helpers import fd_check_params, zero_params
+from helpers import (fd_check_params, reference_decoder_forward,
+                     reference_encoder_forward, zero_params)
 
 
 def tiny_config(**kw):
@@ -283,7 +284,53 @@ class TestDecoderForward:
             grads = mdl.backward(p, loss)
             for name, t in p.items():
                 t.data -= 0.5 * grads[name]
-        assert mdl.greedy_decode(p, memory, max_len=8) == target
+        with ag.no_grad():
+            logits = mdl.decoder_forward(p, dec_in, memory)
+        assert np.argmax(logits.data[0], axis=-1).tolist() == target + [SEP_ID]
+
+
+def _stack_outputs(encoder_forward, decoder_forward, case: str, dropout: float):
+    """Hidden states, attention and cross-attention probabilities, logits and
+    every parameter gradient of one loss, as byte strings."""
+    cfg = tiny_config(vocab_size=19, n_layers=2, dropout=dropout, seed=3,
+                      decoder_layers=0 if case == "encoder" else 2)
+    p = mdl.init_params(cfg)
+    rng = np.random.default_rng(8)
+    ids = rand_ids(rng, cfg, 2, 6)
+    mask = np.ones(ids.shape, dtype=bool)
+    mask[1, 4:] = False
+    drop = np.random.default_rng(9) if dropout else None
+    enc = encoder_forward(p, ids, mask, drop)
+    arrays = [enc.hidden.data, *enc.attention_probs]
+    if case == "encoder":
+        logits = mdl.mlm_logits(p, enc)
+    else:
+        if case == "full_memory":
+            memory, memory_mask = enc.hidden, mask
+        else:
+            flat = ag.reshape(enc.hidden, (12, cfg.d_model))
+            memory = ag.reshape(ag.gather_rows(flat, np.array([2, 9])), (2, 1, cfg.d_model))
+            memory_mask = None
+        dec_ids = np.concatenate([np.full((2, 1), CLS_ID), rand_ids(rng, cfg, 2, 4)], axis=1)
+        cross: list[np.ndarray] = []
+        logits = decoder_forward(p, dec_ids, memory, memory_mask, drop, cross)
+        assert len(cross) == cfg.decoder_layers
+        arrays += cross
+    arrays.append(logits.data)
+    labels = rng.integers(0, cfg.vocab_size, size=logits.shape[0] * logits.shape[1])
+    loss = ag.cross_entropy(ag.reshape(logits, (labels.size, cfg.vocab_size)), labels)
+    grads = mdl.backward(p, loss)
+    return [a.tobytes() for a in arrays + [grads[n] for n in p.names()]]
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.1])
+@pytest.mark.parametrize("case", ["encoder", "full_memory", "one_slot_memory"])
+def test_layer_stack_bits_match_reference_loops(case, dropout):
+    got = _stack_outputs(mdl.encoder_forward, mdl.decoder_forward, case, dropout)
+    want = _stack_outputs(reference_encoder_forward, reference_decoder_forward,
+                          case, dropout)
+    assert len(got) == len(want)
+    assert [i for i, (g, w) in enumerate(zip(got, want)) if g != w] == []
 
 
 class TestGradients:

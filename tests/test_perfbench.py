@@ -41,3 +41,15 @@ def test_one_round_is_correct(workload):
     assert result["attempted"] > 0
     for name in END_TO_END:
         assert result["metrics"][name]["value"] > 0, name
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_one_traced_round_is_correct(workload):
+    # a traced layer the workload uses that reads 0, or an op renamed under
+    # the tracer, makes the run incorrect
+    proc = _run(["perfbench/run.py", "--workload", workload, "--seed", "3",
+                 "--seconds", "0", "--trace", "1"], timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, proc.stderr
+    assert result["failed"] == 0
