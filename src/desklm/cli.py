@@ -166,13 +166,17 @@ def cmd_synth_generate(args) -> int:
         if not 1 <= args.num_notions <= len(notions):
             raise UsageError(f"--num-notions must be in [1, {len(notions)}]")
         notions = notions[: args.num_notions]
+    if args.chunk_size < 1:
+        raise UsageError("--chunk-size must be >= 1")
+    for flag in ("per_notion", "tag_count", "tag_notions"):
+        if getattr(args, flag) < 0:
+            raise UsageError(f"--{flag.replace('_', '-')} must be >= 0")
     out = Path(args.out_dir)
     write_run_manifest(out, "synth generate", _resolved_config(args), [],
                        None, ["dataset.jsonl"])
     examples = sy.generate_notion_dataset(
         client, notions, per_notion=args.per_notion, tag_count=args.tag_count,
-        tag_notions=args.tag_notions, chunk_size=args.chunk_size,
-        retries=args.retries)
+        tag_notions=args.tag_notions, chunk_size=args.chunk_size)
     cp.save_grammar_examples(out / "dataset.jsonl", examples)
     tagged = sum(1 for e in examples if e.tags)
     print(f"wrote {len(examples)} sentences ({tagged} tagged) to {out / 'dataset.jsonl'}")
@@ -188,7 +192,7 @@ def _model_config(args) -> mdl.ModelConfig:
         n_heads=args.heads,
         d_model=args.d_model,
         d_ff=args.d_ff,
-        max_positions=max(64, args.max_positions or args.context_size),
+        max_positions=args.max_positions or max(64, args.context_size),
         decoder_layers=0 if args.mlm else args.decoder_layers or 2,
         dropout=args.dropout,
         seed=args.seed,
@@ -204,29 +208,28 @@ def _training_config(args) -> tr.TrainingConfig:
         epochs=args.epochs,
         context_size=args.context_size,
         seed=args.seed,
-        aux_weight=args.aux_weight,
+        aux_weight=1.0 if args.aux_weight is None else args.aux_weight,
     )
 
 
 def cmd_train(args) -> int:
-    if args.mlm_wikt and not args.wiktionary:
-        raise UsageError("--mlm-wikt requires --wiktionary")
-    if args.mlm_gram and not args.grammar:
-        raise UsageError("--mlm-gram requires --grammar")
     if args.decoder_layers is not None and (args.mlm or args.decoder_layers < 1):
         raise UsageError("--decoder-layers takes a count >= 1 and only with "
                          "--mlm-wikt or --mlm-gram")
+    if args.aux_weight is not None and args.mlm:
+        raise UsageError("--aux-weight is only used with --mlm-wikt or --mlm-gram")
     try:
         cfg = _training_config(args)
         model_cfg = _model_config(args)
     except ValueError as e:
         raise UsageError(str(e)) from e
+    if model_cfg.max_positions < cfg.context_size:
+        raise UsageError(f"--max-positions {model_cfg.max_positions} is smaller than "
+                         f"--context-size {cfg.context_size}")
     out = Path(args.out_dir)
     inputs = [Path(args.corpus)]
-    if args.wiktionary:
-        inputs.append(Path(args.wiktionary))
-    if args.grammar:
-        inputs.append(Path(args.grammar))
+    if args.mlm_wikt or args.mlm_gram:
+        inputs.append(Path(args.mlm_wikt or args.mlm_gram))
     if args.subwords:
         inputs.append(Path(args.subwords))
     write_run_manifest(out, "train", _resolved_config(args), inputs, args.seed,
@@ -244,11 +247,11 @@ def cmd_train(args) -> int:
         params, tlog = tr.train_mlm(docs, subwords, model_cfg, cfg)
     else:
         if args.mlm_wikt:
-            entries = cp.parse_wiktionary_csv(args.wiktionary)
+            entries = cp.parse_wiktionary_csv(args.mlm_wikt)
             items = tr.build_definition_batch(entries, subwords)
             objective = "definition"
         else:
-            examples = [ex for ex in cp.load_grammar_examples(args.grammar) if ex.tags]
+            examples = [ex for ex in cp.load_grammar_examples(args.mlm_gram) if ex.tags]
             items = tr.build_grammar_batch(examples, subwords)
             objective = "grammar"
         params, tlog = tr.train_multi_objective(docs, subwords, items, objective,
@@ -346,19 +349,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--tag-count", type=int, default=100)
     p_gen.add_argument("--tag-notions", type=int, default=50)
     p_gen.add_argument("--chunk-size", type=int, default=25)
-    p_gen.add_argument("--retries", type=int, default=3)
     p_gen.set_defaults(func=cmd_synth_generate)
 
     # train
     p_train = sub.add_parser("train", help="pretrain a model")
     objective = p_train.add_mutually_exclusive_group(required=True)
     objective.add_argument("--mlm", action="store_true")
-    objective.add_argument("--mlm-wikt", action="store_true")
-    objective.add_argument("--mlm-gram", action="store_true")
+    objective.add_argument("--mlm-wikt", metavar="DICT.csv",
+                           help="MLM plus definitions from this dictionary CSV")
+    objective.add_argument("--mlm-gram", metavar="GRAMMAR.jsonl",
+                           help="MLM plus tags from this tagged-sentence JSONL")
     p_train.add_argument("--corpus", required=True)
     p_train.add_argument("--kind", default="unconstrained", choices=cp.SOURCE_KINDS)
-    p_train.add_argument("--wiktionary", help="dictionary CSV for --mlm-wikt")
-    p_train.add_argument("--grammar", help="tagged sentences JSONL for --mlm-gram")
     p_train.add_argument("--subwords", help="reuse an existing subword model")
     p_train.add_argument("--out-dir", required=True)
     p_train.add_argument("--vocab-size", type=int, default=40000)
@@ -368,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--learning-rate", type=float, default=2e-4)
     p_train.add_argument("--weight-decay", type=float, default=0.01)
     p_train.add_argument("--warmup-steps", type=int, default=4000)
-    p_train.add_argument("--aux-weight", type=float, default=1.0)
+    p_train.add_argument("--aux-weight", type=float, default=None,
+                         help="auxiliary loss weight (default 1.0)")
     p_train.add_argument("--layers", type=int, default=4)
     p_train.add_argument("--heads", type=int, default=4)
     p_train.add_argument("--d-model", type=int, default=128)

@@ -42,29 +42,20 @@ def count_words(text: str) -> int:
 
 @dataclass(frozen=True)
 class Document:
-    """One unit of training text with source attribution.
-
-    `word_count` is derived from `text`; passing an inconsistent value is an
-    error so serialized counts can never drift from the text.
-    """
+    """One unit of training text with source attribution; `word_count` is
+    derived from `text`."""
 
     id: str
     source: str
     text: str
-    word_count: int = -1
+    word_count: int = field(init=False)
 
     def __post_init__(self):
         if self.source not in SOURCE_KINDS:
             raise ValueError(f"unknown source kind {self.source!r}, expected one of {SOURCE_KINDS}")
         if not self.text:
             raise ValueError(f"document {self.id!r}: text must be non-empty")
-        wc = count_words(self.text)
-        if self.word_count < 0:
-            object.__setattr__(self, "word_count", wc)
-        elif self.word_count != wc:
-            raise ValueError(
-                f"document {self.id!r}: word_count {self.word_count} != counted {wc}"
-            )
+        object.__setattr__(self, "word_count", count_words(self.text))
 
 
 @dataclass(frozen=True)

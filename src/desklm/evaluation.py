@@ -144,9 +144,9 @@ def pseudo_log_likelihood(params: ParameterSet, subwords: SubwordModel,
             k = len(pos)
             batch = np.tile(arr, (k, 1))
             batch[np.arange(k), pos] = MASK_ID
-            out = mdl.encoder_forward(params, batch, np.ones_like(batch, dtype=bool))
+            hidden = mdl.encoder_forward(params, batch, np.ones_like(batch, dtype=bool))
             # the head sees only the masked row of each copy
-            flat = ag.reshape(out.hidden, (k * n, params.config.d_model))
+            flat = ag.reshape(hidden, (k * n, params.config.d_model))
             rows = ag.gather_rows(flat, np.arange(k) * n + pos)
             logp[pos] = ag.log_probs(mdl.mlm_logits(params, rows))[np.arange(k), arr[pos]]
     return float(logp.sum())

@@ -78,14 +78,6 @@ class ParameterSet:
         return sum(t.data.size for t in self.tensors.values())
 
 
-@dataclass
-class EncoderOutput:
-    """Per-position hidden states (batch, positions, d_model) plus the
-    attention probability arrays of each layer, for inspection."""
-    hidden: Tensor
-    attention_probs: list[np.ndarray]
-
-
 def _layer_param_names(prefix: str, cross_attention: bool) -> list[tuple[str, str]]:
     names = [
         (f"{prefix}.ln1.g", "ln_g"), (f"{prefix}.ln1.b", "ln_b"),
@@ -152,8 +144,7 @@ def init_params(config: ModelConfig) -> ParameterSet:
 
 
 def _attention(p: ParameterSet, prefix: str, x: Tensor, kv: Tensor,
-               additive_mask: np.ndarray | None,
-               probs_out: list[np.ndarray] | None) -> Tensor:
+               additive_mask: np.ndarray | None) -> Tensor:
     """Multi-head scaled dot-product attention. x supplies queries, kv
     supplies keys/values; additive_mask broadcasts over (B, H, Tq, Tk)."""
     cfg = p.config
@@ -171,8 +162,6 @@ def _attention(p: ParameterSet, prefix: str, x: Tensor, kv: Tensor,
 
     scores = ag.scale(ag.matmul(q, ag.swapaxes(k, -1, -2)), 1.0 / math.sqrt(dh))
     probs = ag.softmax_masked(scores, additive_mask)
-    if probs_out is not None:
-        probs_out.append(probs.data)
     ctx = ag.matmul(probs, v)                       # (B, H, Tq, dh)
     ctx = ag.swapaxes(ctx, 1, 2)                    # (B, Tq, H, dh)
     ctx = ag.reshape(ctx, (bq, tq, cfg.d_model))
@@ -213,9 +202,8 @@ def _ffn(p: ParameterSet, prefix: str, x: Tensor) -> Tensor:
 
 
 def _stack(p: ParameterSet, prefix: str, ids: np.ndarray, self_mask: np.ndarray,
-           self_probs: list[np.ndarray] | None, dropout_rng,
-           memory: Tensor | None = None, cross_mask: np.ndarray | None = None,
-           cross_probs: list[np.ndarray] | None = None) -> Tensor:
+           dropout_rng, memory: Tensor | None = None,
+           cross_mask: np.ndarray | None = None) -> Tensor:
     """Embed ids and run the `prefix` ("enc" or "dec") layers and final norm.
 
     Each layer takes pre-LN residual steps x + dropout(sublayer(ln(x)))
@@ -233,20 +221,21 @@ def _stack(p: ParameterSet, prefix: str, ids: np.ndarray, self_mask: np.ndarray,
     for i in range(n_layers):
         layer = f"{prefix}.{i}"
         x = residual(x, f"{layer}.ln1", lambda pre: _attention(
-            p, f"{layer}.attn", pre, pre, self_mask, self_probs))
+            p, f"{layer}.attn", pre, pre, self_mask))
         if memory is not None:
             x = residual(x, f"{layer}.lnc", lambda pre: _attention(
-                p, f"{layer}.cross", pre, memory, cross_mask, cross_probs))
+                p, f"{layer}.cross", pre, memory, cross_mask))
         x = residual(x, f"{layer}.ln2", lambda pre: _ffn(p, f"{layer}.ffn", pre))
     return ag.layer_norm(x, p[f"{prefix}_ln.g"], p[f"{prefix}_ln.b"])
 
 
 def encoder_forward(params: ParameterSet, token_ids,
                     attention_mask: np.ndarray | None = None,
-                    dropout_rng: np.random.Generator | None = None) -> EncoderOutput:
-    """Run the encoder stack. attention_mask marks real (attendable)
-    positions; None means every position not equal to PAD. Dropout is
-    active only when a generator is supplied."""
+                    dropout_rng: np.random.Generator | None = None) -> Tensor:
+    """Hidden states (batch, positions, d_model) of the encoder stack.
+    attention_mask marks real (attendable) positions; None means every
+    position not equal to PAD. Dropout is active only when a generator is
+    supplied."""
     cfg = params.config
     ids = _check_ids(token_ids, cfg.vocab_size)
     if attention_mask is None:
@@ -257,28 +246,22 @@ def encoder_forward(params: ParameterSet, token_ids,
     if attention_mask.shape != ids.shape:
         raise ValueError("attention mask shape must match token ids")
     add_mask = np.where(attention_mask, 0.0, MASK_VALUE)[:, None, None, :]
-
-    probs: list[np.ndarray] = []
-    x = _stack(params, "enc", ids, add_mask, probs, dropout_rng)
-    return EncoderOutput(hidden=x, attention_probs=probs)
+    return _stack(params, "enc", ids, add_mask, dropout_rng)
 
 
-def mlm_logits(params: ParameterSet, hidden: EncoderOutput | Tensor) -> Tensor:
+def mlm_logits(params: ParameterSet, hidden: Tensor) -> Tensor:
     """Project hidden states to per-position vocabulary logits."""
-    h = hidden.hidden if isinstance(hidden, EncoderOutput) else hidden
-    return ag.add(ag.matmul(h, params["mlm.w"]), params["mlm.b"])
+    return ag.add(ag.matmul(hidden, params["mlm.w"]), params["mlm.b"])
 
 
 def decoder_forward(params: ParameterSet, target_ids, memory: Tensor,
                     memory_mask: np.ndarray | None = None,
-                    dropout_rng: np.random.Generator | None = None,
-                    cross_probs_out: list[np.ndarray] | None = None) -> Tensor:
+                    dropout_rng: np.random.Generator | None = None) -> Tensor:
     """Teacher-forced decoder logits over the target sequence.
 
     memory: (B, S, d_model), the full encoder hidden states, or a single
     marked-position vector with S = 1. memory_mask marks attendable memory
-    slots (None = all). Self-attention is causal. cross_probs_out, when
-    given, collects each layer's cross-attention probabilities.
+    slots (None = all). Self-attention is causal.
     """
     cfg = params.config
     if cfg.decoder_layers == 0:
@@ -297,7 +280,7 @@ def decoder_forward(params: ParameterSet, target_ids, memory: Tensor,
             raise ValueError("memory mask shape must match memory slots")
         cross_mask = np.where(memory_mask, 0.0, MASK_VALUE)[:, None, None, :]
 
-    x = _stack(params, "dec", ids, causal, None, dropout_rng, memory, cross_mask, cross_probs_out)
+    x = _stack(params, "dec", ids, causal, dropout_rng, memory, cross_mask)
     return ag.add(ag.matmul(x, params["dec_head.w"]), params["dec_head.b"])
 
 

@@ -156,7 +156,7 @@ def train_subwords(corpus: Sequence[Document], vocab_size: int) -> SubwordModel:
     and only those are rewritten and recounted. The next merge comes from
     a heap of (-count, pair) entries, stale ones skipped when popped, so
     the highest count wins and ties go to the lexicographically smallest
-    pair.
+    pair. No merge product is a special token.
     """
     if not corpus:
         raise ValueError("corpus is empty")
@@ -182,8 +182,11 @@ def train_subwords(corpus: Sequence[Document], vocab_size: int) -> SubwordModel:
 
     merges: list[tuple[str, str]] = []
     for step in range(n_merges):
-        # an entry is current only while its count matches the table
-        while heap and pair_counts.get(heap[0][1]) != -heap[0][0]:
+        # an entry is current only while its count matches the table; a
+        # pair that would spell a special token (a literal "<mask>") is
+        # skipped the same way, so the vocabulary stays duplicate-free
+        while heap and (pair_counts.get(heap[0][1]) != -heap[0][0]
+                        or "".join(heap[0][1]) in SPECIAL_TOKENS):
             heapq.heappop(heap)
         if not heap:
             raise ValueError(

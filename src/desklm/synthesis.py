@@ -16,7 +16,7 @@ import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Protocol, Sequence
+from typing import Protocol, Sequence
 
 from .corpus import (
     NOT_PRESENT,
@@ -31,6 +31,11 @@ log = logging.getLogger(__name__)
 
 ENV_API_URL = "DESKLM_API_URL"
 ENV_API_KEY = "DESKLM_API_KEY"
+# The live client's per-request timeout, its attempts per prompt, and its
+# wait before the second attempt, which doubles after each further failure.
+HTTP_TIMEOUT_S = 60.0
+HTTP_ATTEMPTS = 3
+HTTP_RETRY_WAIT_S = 0.5
 
 
 @dataclass(frozen=True)
@@ -237,28 +242,20 @@ def prompt_key(prompt: str) -> str:
 
 
 class MockCompletionClient:
-    """Offline client returning canned responses keyed by prompt hash.
+    """Offline client returning the canned `<prompt_key>.txt` files of a
+    directory. A missing response raises at once: it is never retried."""
 
-    Responses come from an in-memory mapping (prompt text -> response)
-    and/or a directory of `<prompt_key>.txt` files.
-    """
-
-    def __init__(self, responses: Mapping[str, str] | None = None,
-                 directory: str | Path | None = None):
-        self._responses = {prompt_key(p): r for p, r in (responses or {}).items()}
-        self._directory = Path(directory) if directory is not None else None
+    def __init__(self, directory: str | Path):
+        self._directory = Path(directory)
         self.calls = 0
 
     def complete(self, prompt: str) -> str:
         self.calls += 1
         key = prompt_key(prompt)
-        if key in self._responses:
-            return self._responses[key]
-        if self._directory is not None:
-            path = self._directory / f"{key}.txt"
-            if path.exists():
-                return path.read_text(encoding="utf-8")
-        raise CompletionError(f"no canned response for prompt key {key}")
+        path = self._directory / f"{key}.txt"
+        if not path.exists():
+            raise CompletionError(f"no canned response for prompt key {key}")
+        return path.read_text(encoding="utf-8")
 
 
 def write_canned_response(directory: str | Path, prompt: str, response: str) -> Path:
@@ -275,52 +272,49 @@ class HTTPCompletionClient:
 
     Endpoint URL and credential come from DESKLM_API_URL / DESKLM_API_KEY
     unless passed explicitly. The endpoint must accept a JSON body
-    {"prompt": ...} and answer {"completion": ...}.
+    {"prompt": ...} and answer {"completion": ...}. A request that fails
+    or answers a status other than 200 is retried, HTTP_ATTEMPTS times in
+    all, waiting HTTP_RETRY_WAIT_S * 2**k seconds after failure k.
     """
 
-    def __init__(self, url: str | None = None, api_key: str | None = None,
-                 timeout: float = 60.0):
+    def __init__(self, url: str | None = None, api_key: str | None = None):
         self.url = url or os.environ.get(ENV_API_URL)
         if not self.url:
             raise CompletionError(f"completion endpoint not configured: set {ENV_API_URL}")
         self.api_key = api_key or os.environ.get(ENV_API_KEY)
         if not self.api_key:
             raise CompletionError(f"completion credential not configured: set {ENV_API_KEY}")
-        self.timeout = timeout
 
     def complete(self, prompt: str) -> str:
         import requests
 
-        resp = requests.post(
-            self.url,
-            json={"prompt": prompt},
-            headers={"Authorization": f"Bearer {self.api_key}"},
-            timeout=self.timeout,
-        )
-        if resp.status_code != 200:
-            raise CompletionError(f"completion endpoint returned {resp.status_code}")
-        body = resp.json()
+        for attempt in range(1, HTTP_ATTEMPTS + 1):
+            try:
+                resp = requests.post(
+                    self.url,
+                    json={"prompt": prompt},
+                    headers={"Authorization": f"Bearer {self.api_key}"},
+                    timeout=HTTP_TIMEOUT_S,
+                )
+                if resp.status_code == 200:
+                    break
+                failure = f"endpoint returned {resp.status_code}"
+            except requests.RequestException as e:
+                failure = str(e)
+            if attempt == HTTP_ATTEMPTS:
+                raise CompletionError(
+                    f"completion failed after {HTTP_ATTEMPTS} attempts: {failure}")
+            wait = HTTP_RETRY_WAIT_S * 2 ** (attempt - 1)
+            log.warning("completion attempt %d/%d failed (%s), retrying in %.1fs",
+                        attempt, HTTP_ATTEMPTS, failure, wait)
+            time.sleep(wait)
+        try:
+            body = resp.json()
+        except ValueError as e:
+            raise CompletionError(f"completion endpoint returned malformed JSON: {e}") from e
         if "completion" not in body:
             raise CompletionError("completion endpoint response missing 'completion'")
         return body["completion"]
-
-
-def _complete_with_retry(client: CompletionClient, prompt: str,
-                         retries: int = 3, retry_wait: float = 0.5) -> str:
-    """Call the client, retrying with exponential backoff on failure."""
-    last: Exception | None = None
-    for attempt in range(retries):
-        try:
-            return client.complete(prompt)
-        except Exception as e:  # client implementations vary in what they raise
-            last = e
-            if attempt + 1 < retries:
-                wait = retry_wait * (2 ** attempt)
-                log.warning("completion attempt %d/%d failed (%s), retrying in %.1fs",
-                            attempt + 1, retries, e, wait)
-                if wait > 0:
-                    time.sleep(wait)
-    raise CompletionError(f"completion failed after {retries} attempts: {last}") from last
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +330,6 @@ def generate_notion_dataset(
     tag_notions: int = 50,
     seed: int = 0,
     chunk_size: int = 25,
-    retries: int = 3,
-    retry_wait: float = 0.5,
 ) -> list[GrammarExample]:
     """Generate sentences per notion, then tag a subset against a notion set.
 
@@ -346,8 +338,14 @@ def generate_notion_dataset(
     sentences have been parsed. The first `tag_count` sentences of the first
     `tag_notions` notions are then tagged against all of those notions.
     Unparseable responses are skipped with a log line; client failures are
-    retried and then raised.
+    raised (the live client retries its own requests first).
     """
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    for name, count in (("per_notion", per_notion), ("tag_count", tag_count),
+                        ("tag_notions", tag_notions)):
+        if count < 0:
+            raise ValueError(f"{name} must be >= 0, got {count}")
     if tag_count > per_notion:
         raise ValueError(f"tag_count {tag_count} exceeds per_notion {per_notion}")
     tag_notions = min(tag_notions, len(notions))
@@ -370,7 +368,7 @@ def generate_notion_dataset(
             topic = topics.topics[call_index % len(topics.topics)]
             want = min(chunk_size, per_notion - len(sentences))
             prompt = render_generation_prompt(spec, topic, count=want)
-            response = _complete_with_retry(client, prompt, retries, retry_wait)
+            response = client.complete(prompt)
             call_index += 1
             try:
                 items = parse_numbered_list(response, want)
@@ -389,7 +387,7 @@ def generate_notion_dataset(
             if ni < tag_notions and si < tag_count:
                 for tspec in tag_set:
                     prompt = render_tagging_prompt(sentence, tspec)
-                    response = _complete_with_retry(client, prompt, retries, retry_wait)
+                    response = client.complete(prompt)
                     try:
                         value = parse_tag_response(response, tspec)
                     except ValueError as e:

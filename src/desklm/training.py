@@ -258,9 +258,9 @@ def _mlm_step_loss(params: ParameterSet, batch: np.ndarray, mcfg: MaskingConfig,
     rows = np.flatnonzero(labels != IGNORE_INDEX)
     if rows.size == 0:
         return None
-    out = mdl.encoder_forward(params, masked, batch != PAD_ID, dropout_rng)
-    b, t, d = out.hidden.shape
-    picked = ag.gather_rows(ag.reshape(out.hidden, (b * t, d)), rows)
+    hidden = mdl.encoder_forward(params, masked, batch != PAD_ID, dropout_rng)
+    b, t, d = hidden.shape
+    picked = ag.gather_rows(ag.reshape(hidden, (b * t, d)), rows)
     return ag.cross_entropy(mdl.mlm_logits(params, picked), labels.reshape(-1)[rows])
 
 
@@ -348,15 +348,15 @@ def _aux_step_loss(params: ParameterSet, items: list[AuxItem],
     """Forward a batch of auxiliary items; returns decoder cross-entropy."""
     enc_ids = _pad_2d([it.enc_ids for it in items], PAD_ID)
     enc_mask = enc_ids != PAD_ID
-    out = mdl.encoder_forward(params, enc_ids, enc_mask, dropout_rng)
+    hidden = mdl.encoder_forward(params, enc_ids, enc_mask, dropout_rng)
     if items[0].mem_index is not None:
         idx = np.array([it.mem_index for it in items])
-        b, t, d = out.hidden.shape
-        flat = ag.reshape(out.hidden, (b * t, d))
+        b, t, d = hidden.shape
+        flat = ag.reshape(hidden, (b * t, d))
         memory = ag.reshape(ag.gather_rows(flat, np.arange(b) * t + idx), (b, 1, d))
         mem_mask = None
     else:
-        memory = out.hidden
+        memory = hidden
         mem_mask = enc_mask
     dec_in = _pad_2d([it.dec_in for it in items], PAD_ID)
     labels = _pad_2d([it.dec_labels for it in items], IGNORE_INDEX)

@@ -74,8 +74,9 @@ def reference_train_subwords(corpus: Sequence[Document], vocab_size: int) -> Sub
     """Reference BPE: recount every adjacent pair of every word for each merge.
 
     Same contract as `subwords.train_subwords` (highest count first, then
-    the lexicographically smallest pair; left-to-right non-overlapping
-    rewrites; the same errors), at merges x word-forms cost.
+    the lexicographically smallest pair; no pair that spells a special
+    token; left-to-right non-overlapping rewrites; the same errors), at
+    merges x word-forms cost.
     """
     if not corpus:
         raise ValueError("corpus is empty")
@@ -94,7 +95,8 @@ def reference_train_subwords(corpus: Sequence[Document], vocab_size: int) -> Sub
         pair_counts: Counter = Counter()
         for sym, c in words.items():
             for pair in zip(sym, sym[1:]):
-                pair_counts[pair] += c
+                if "".join(pair) not in SPECIAL_TOKENS:
+                    pair_counts[pair] += c
         if not pair_counts:
             raise ValueError(
                 f"corpus supports a vocabulary of at most {base + step} tokens, "
@@ -157,8 +159,8 @@ def brute_force_pll(params: mdl.ParameterSet, subwords: SubwordModel,
         corrupted = list(ids)
         corrupted[i] = MASK_ID
         row = np.asarray([corrupted], dtype=np.int64)
-        out = mdl.encoder_forward(params, row, np.ones_like(row, dtype=bool))
-        logits = mdl.mlm_logits(params, out).data[0, i]
+        hidden = mdl.encoder_forward(params, row, np.ones_like(row, dtype=bool))
+        logits = mdl.mlm_logits(params, hidden).data[0, i]
         # independent log-softmax via logaddexp reduction
         lse = np.logaddexp.reduce(logits)
         total += float(logits[ids[i]] - lse)
@@ -176,8 +178,8 @@ def reference_pseudo_log_likelihood(params: mdl.ParameterSet, subwords: SubwordM
     batch = np.tile(arr, (n, 1))
     np.fill_diagonal(batch, MASK_ID)
     with ag.no_grad():
-        out = mdl.encoder_forward(params, batch, np.ones_like(batch, dtype=bool))
-        flat = ag.reshape(out.hidden, (n * n, params.config.d_model))
+        hidden = mdl.encoder_forward(params, batch, np.ones_like(batch, dtype=bool))
+        flat = ag.reshape(hidden, (n * n, params.config.d_model))
         diag = ag.gather_rows(flat, np.arange(n) * (n + 1))
         logp = ag.log_probs(mdl.mlm_logits(params, diag))
     return float(logp[np.arange(n), arr].sum())
@@ -186,7 +188,7 @@ def reference_pseudo_log_likelihood(params: mdl.ParameterSet, subwords: SubwordM
 def reference_encoder_forward(params: ParameterSet, token_ids,
                               attention_mask: np.ndarray | None = None,
                               dropout_rng: np.random.Generator | None = None
-                              ) -> mdl.EncoderOutput:
+                              ) -> ag.Tensor:
     """Reference encoder: the layer loop `model.encoder_forward` ran before
     it shared one layer stack with the decoder."""
     cfg = params.config
@@ -199,10 +201,9 @@ def reference_encoder_forward(params: ParameterSet, token_ids,
     add_mask = np.where(attention_mask, 0.0, mdl.MASK_VALUE)[:, None, None, :]
 
     x = mdl._embed(params, ids, dropout_rng)
-    probs: list[np.ndarray] = []
     for i in range(cfg.n_layers):
         pre = ag.layer_norm(x, params[f"enc.{i}.ln1.g"], params[f"enc.{i}.ln1.b"])
-        a = mdl._attention(params, f"enc.{i}.attn", pre, pre, add_mask, probs)
+        a = mdl._attention(params, f"enc.{i}.attn", pre, pre, add_mask)
         x = ag.add(x, mdl._maybe_dropout(a, cfg.dropout, dropout_rng))
         pre = ag.layer_norm(x, params[f"enc.{i}.ln2.g"], params[f"enc.{i}.ln2.b"])
         f = ag.add(ag.matmul(ag.gelu(ag.add(ag.matmul(pre, params[f"enc.{i}.ffn.w1"]),
@@ -210,14 +211,12 @@ def reference_encoder_forward(params: ParameterSet, token_ids,
                              params[f"enc.{i}.ffn.w2"]),
                    params[f"enc.{i}.ffn.b2"])
         x = ag.add(x, mdl._maybe_dropout(f, cfg.dropout, dropout_rng))
-    x = ag.layer_norm(x, params["enc_ln.g"], params["enc_ln.b"])
-    return mdl.EncoderOutput(hidden=x, attention_probs=probs)
+    return ag.layer_norm(x, params["enc_ln.g"], params["enc_ln.b"])
 
 
 def reference_decoder_forward(params: ParameterSet, target_ids, memory: ag.Tensor,
                               memory_mask: np.ndarray | None = None,
-                              dropout_rng: np.random.Generator | None = None,
-                              cross_probs_out: list[np.ndarray] | None = None
+                              dropout_rng: np.random.Generator | None = None
                               ) -> ag.Tensor:
     """Reference decoder: the layer loop `model.decoder_forward` ran before
     it shared one layer stack with the encoder."""
@@ -232,11 +231,10 @@ def reference_decoder_forward(params: ParameterSet, target_ids, memory: ag.Tenso
     x = mdl._embed(params, ids, dropout_rng)
     for i in range(cfg.decoder_layers):
         pre = ag.layer_norm(x, params[f"dec.{i}.ln1.g"], params[f"dec.{i}.ln1.b"])
-        a = mdl._attention(params, f"dec.{i}.attn", pre, pre, causal, None)
+        a = mdl._attention(params, f"dec.{i}.attn", pre, pre, causal)
         x = ag.add(x, mdl._maybe_dropout(a, cfg.dropout, dropout_rng))
         pre = ag.layer_norm(x, params[f"dec.{i}.lnc.g"], params[f"dec.{i}.lnc.b"])
-        c = mdl._attention(params, f"dec.{i}.cross", pre, memory, cross_mask,
-                           cross_probs_out)
+        c = mdl._attention(params, f"dec.{i}.cross", pre, memory, cross_mask)
         x = ag.add(x, mdl._maybe_dropout(c, cfg.dropout, dropout_rng))
         pre = ag.layer_norm(x, params[f"dec.{i}.ln2.g"], params[f"dec.{i}.ln2.b"])
         f = ag.add(ag.matmul(ag.gelu(ag.add(ag.matmul(pre, params[f"dec.{i}.ffn.w1"]),

@@ -62,12 +62,12 @@ def test_01_gradient_correctness():
         dec_labels = rng.integers(6, 11, size=8)
 
         def loss_fn():
-            out = mdl.encoder_forward(params, ids)
-            logits = mdl.mlm_logits(params, out)
+            hidden = mdl.encoder_forward(params, ids)
+            logits = mdl.mlm_logits(params, hidden)
             b, t, v = logits.shape
             loss = ag.cross_entropy(ag.reshape(logits, (b * t, v)), labels)
             if with_decoder:
-                dec_logits = mdl.decoder_forward(params, dec_in, out.hidden)
+                dec_logits = mdl.decoder_forward(params, dec_in, hidden)
                 b2, t2, v2 = dec_logits.shape
                 dec_loss = ag.cross_entropy(
                     ag.reshape(dec_logits, (b2 * t2, v2)), dec_labels)

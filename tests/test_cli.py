@@ -65,7 +65,17 @@ def test_mlm_wikt_without_wiktionary_is_usage_error(tmp_path, capsys):
     code = cli.main(["train", "--mlm-wikt", "--corpus", "whatever.jsonl",
                      "--out-dir", str(tmp_path)])
     assert code == cli.EXIT_USAGE
-    assert "--wiktionary" in capsys.readouterr().err
+    assert "--mlm-wikt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--wiktionary", "--grammar"])
+def test_separate_objective_file_flags_are_gone(tmp_path, capsys, flag):
+    # the data file rides on --mlm-wikt / --mlm-gram, so none can be ignored
+    code = cli.main(["train", "--mlm", "--corpus", "whatever.jsonl", flag, "nosuch",
+                     "--out-dir", str(tmp_path / "o")])
+    assert code == cli.EXIT_USAGE
+    assert flag in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_render_figure_1_without_topic_is_usage_error(capsys):
@@ -258,6 +268,21 @@ def test_synth_generate_num_notions_bounds(tmp_path, capsys):
     assert "--num-notions" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--chunk-size", "0"], "--chunk-size must be >= 1"),
+    (["--per-notion", "-2", "--tag-count", "-3"], "--per-notion must be >= 0"),
+    (["--tag-count", "-3"], "--tag-count must be >= 0"),
+    (["--tag-notions", "-1"], "--tag-notions must be >= 0"),
+    (["--retries", "0"], "unrecognized arguments: --retries"),
+])
+def test_synth_generate_bad_count_is_usage_error(tmp_path, capsys, flags, message):
+    code = cli.main(["synth", "generate", "--mock", str(tmp_path),
+                     "--out-dir", str(tmp_path / "o")] + flags)
+    assert code == cli.EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 # -- train / eval ----------------------------------------------------------------
 
 TINY_MODEL_FLAGS = ["--vocab-size", "80", "--context-size", "16",
@@ -350,8 +375,8 @@ def test_train_mlm_wikt_strips_decoder(tmp_path, corpus_path):
     csv_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
 
     out_dir = tmp_path / "wikt"
-    code = cli.main(["train", "--mlm-wikt", "--corpus", str(corpus_path),
-                     "--wiktionary", str(csv_path), "--out-dir", str(out_dir)]
+    code = cli.main(["train", "--mlm-wikt", str(csv_path), "--corpus", str(corpus_path),
+                     "--out-dir", str(out_dir)]
                     + AUX_FLAGS)
     assert code == cli.EXIT_OK
 
@@ -366,17 +391,24 @@ def test_train_mlm_wikt_strips_decoder(tmp_path, corpus_path):
 
 
 @pytest.mark.parametrize("flags", [["--mlm", "--decoder-layers", "2"],
-                                   ["--mlm-gram", "--decoder-layers", "0"]])
+                                   ["--mlm-gram", "g.jsonl", "--decoder-layers", "0"]])
 def test_decoder_layers_misuse_is_usage_error(tmp_path, corpus_path, capsys, flags):
-    code = cli.main(["train", "--corpus", str(corpus_path), "--grammar", "g.jsonl",
+    code = cli.main(["train", "--corpus", str(corpus_path),
                      "--out-dir", str(tmp_path / "o")] + flags)
     assert code == cli.EXIT_USAGE
     assert "--decoder-layers" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("flags, message", [(["--heads", "3"], "divisible by n_heads"),
-                                            (["--batch-size", "0"], "batch_size")])
+@pytest.mark.parametrize("flags, message", [
+    (["--heads", "3"], "divisible by n_heads"),
+    (["--batch-size", "0"], "batch_size"),
+    # flags the run would otherwise override or drop
+    (["--max-positions", "32"], "max_positions must be at least 64"),
+    (["--max-positions", "100", "--context-size", "128"],
+     "--max-positions 100 is smaller than --context-size 128"),
+    (["--aux-weight", "5"], "--aux-weight is only used with"),
+])
 def test_bad_model_or_training_flag_is_usage_error_before_bpe(tmp_path, corpus_path,
                                                              monkeypatch, capsys,
                                                              flags, message):
@@ -399,13 +431,15 @@ def test_train_mlm_gram(tmp_path, corpus_path):
     cp.save_grammar_examples(gram, examples)
 
     out_dir = tmp_path / "gram_run"
-    code = cli.main(["train", "--mlm-gram", "--corpus", str(corpus_path),
-                     "--grammar", str(gram), "--out-dir", str(out_dir),
-                     "--decoder-layers", "1"] + AUX_FLAGS)
+    code = cli.main(["train", "--mlm-gram", str(gram), "--corpus", str(corpus_path),
+                     "--out-dir", str(out_dir), "--decoder-layers", "1"] + AUX_FLAGS)
     assert code == cli.EXIT_OK
     with open(out_dir / cli.TRAINLOG_NAME, encoding="utf-8") as f:
         first = json.loads(f.readline())
     assert first["objective"] == "mlm+grammar"
+    assert first["aux_weight"] == 1.0
+    run = json.loads((out_dir / cli.MANIFEST_NAME).read_text(encoding="utf-8"))
+    assert str(gram) in run["input_hashes"]
 
 
 @pytest.fixture(scope="module")
@@ -550,8 +584,8 @@ BAD_INPUTS = {
                                                 "--input", bad, "--out-dir", out]),
     "grammar": ("gram.jsonl", ['{"sentence": "a b", "topic": "t", "tags": []}',
                                '{"sentence": "a b", "topic": "t", "tags": [5]}'], 2,
-                lambda bad, corpus, art, out: ["train", "--mlm-gram", "--corpus", corpus,
-                                               "--grammar", bad, "--out-dir", out]
+                lambda bad, corpus, art, out: ["train", "--mlm-gram", bad, "--corpus", corpus,
+                                               "--out-dir", out]
                 + AUX_FLAGS),
     "pairs": ("pairs.jsonl", [_PAIR, '{"good": ["a"], "bad": "b", "phenomenon": "p"}'], 2,
               lambda bad, corpus, art, out: _eval_flags(art, out)

@@ -30,14 +30,6 @@ class TestDocument:
         d = cp.Document(id="x", source="unconstrained", text="three word text")
         assert d.word_count == 3
 
-    def test_word_count_checked(self):
-        with pytest.raises(ValueError, match="word_count"):
-            cp.Document(id="x", source="unconstrained", text="two words", word_count=5)
-
-    def test_explicit_correct_count_ok(self):
-        d = cp.Document(id="x", source="unconstrained", text="two words", word_count=2)
-        assert d.word_count == 2
-
     def test_empty_text_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             cp.Document(id="x", source="unconstrained", text="")

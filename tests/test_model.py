@@ -107,33 +107,14 @@ class TestEncoderForward:
         cfg = tiny_config(n_layers=2)
         p = mdl.init_params(cfg)
         ids = rand_ids(np.random.default_rng(0), cfg, 3, 7)
-        out = mdl.encoder_forward(p, ids)
-        assert out.hidden.shape == (3, 7, cfg.d_model)
-        logits = mdl.mlm_logits(p, out)
+        hidden = mdl.encoder_forward(p, ids)
+        assert hidden.shape == (3, 7, cfg.d_model)
+        logits = mdl.mlm_logits(p, hidden)
         assert logits.shape == (3, 7, cfg.vocab_size)
-        assert len(out.attention_probs) == 2
-        assert out.attention_probs[0].shape == (3, cfg.n_heads, 7, 7)
 
     def test_one_dim_input_promoted(self):
         p = mdl.init_params(tiny_config())
-        out = mdl.encoder_forward(p, np.array([7, 8, 9]))
-        assert out.hidden.shape == (1, 3, 8)
-
-    def test_attention_rows_are_distributions(self):
-        cfg = tiny_config(n_layers=3)
-        p = mdl.init_params(cfg)
-        ids = rand_ids(np.random.default_rng(1), cfg, 2, 9)
-        out = mdl.encoder_forward(p, ids)
-        for probs in out.attention_probs:
-            np.testing.assert_allclose(probs.sum(axis=-1), 1.0, rtol=1e-12)
-            assert probs.min() >= 0.0
-
-    def test_pad_positions_get_exactly_zero_attention(self):
-        cfg = tiny_config()
-        p = mdl.init_params(cfg)
-        ids = np.array([[7, 8, 9, PAD_ID, PAD_ID]])
-        out = mdl.encoder_forward(p, ids)
-        assert np.all(out.attention_probs[0][..., 3:] == 0.0)
+        assert mdl.encoder_forward(p, np.array([7, 8, 9])).shape == (1, 3, 8)
 
     def test_pad_identity_invariance_bitwise(self):
         # swapping what sits in masked tail slots must not move real outputs
@@ -166,11 +147,15 @@ class TestEncoderForward:
         np.testing.assert_allclose(got[:, :6], base, rtol=1e-10, atol=1e-12)
 
     def test_single_token_attention_is_one(self):
-        cfg = tiny_config()
-        p = mdl.init_params(cfg)
-        out = mdl.encoder_forward(p, np.array([[9]]))
-        np.testing.assert_array_equal(out.attention_probs[0],
-                                      np.ones((1, cfg.n_heads, 1, 1)))
+        # one key gets weight exactly 1, so queries and keys cannot matter
+        p = mdl.init_params(tiny_config(n_layers=2))
+        before = mdl.encoder_forward(p, np.array([[9]])).data
+        rng = np.random.default_rng(6)
+        for i in range(2):
+            for name in (f"enc.{i}.attn.wq", f"enc.{i}.attn.wk", f"enc.{i}.attn.bk"):
+                p[name].data[...] = rng.normal(size=p[name].shape)
+        after = mdl.encoder_forward(p, np.array([[9]])).data
+        np.testing.assert_array_equal(before, after)
 
     def test_id_out_of_range(self):
         p = mdl.init_params(tiny_config(vocab_size=23))
@@ -199,9 +184,9 @@ class TestEncoderForward:
         cfg = tiny_config(dropout=0.3)
         p = mdl.init_params(cfg)
         ids = np.array([[7, 8, 9, 10]])
-        clean = mdl.encoder_forward(p, ids).hidden.data
-        d1 = mdl.encoder_forward(p, ids, dropout_rng=np.random.default_rng(4)).hidden.data
-        d2 = mdl.encoder_forward(p, ids, dropout_rng=np.random.default_rng(4)).hidden.data
+        clean = mdl.encoder_forward(p, ids).data
+        d1 = mdl.encoder_forward(p, ids, dropout_rng=np.random.default_rng(4)).data
+        d2 = mdl.encoder_forward(p, ids, dropout_rng=np.random.default_rng(4)).data
         assert not np.array_equal(clean, d1)
         np.testing.assert_array_equal(d1, d2)
 
@@ -231,24 +216,28 @@ class TestDecoderForward:
         assert not np.array_equal(l1[:, 3], l2[:, 3])
 
     def test_single_memory_slot_gets_full_attention(self):
+        # one slot, or the same slot three times, gives the same context
         rng = np.random.default_rng(2)
         cfg, p, memory = self._setup(rng, s=1)
-        collected: list[np.ndarray] = []
-        mdl.decoder_forward(p, np.array([[CLS_ID, 7, 8]]), memory,
-                            cross_probs_out=collected)
-        assert len(collected) == cfg.decoder_layers
-        for probs in collected:
-            np.testing.assert_array_equal(probs, 1.0)
+        ids = np.array([[CLS_ID, 7, 8]])
+        one = mdl.decoder_forward(p, ids, memory).data
+        three = mdl.decoder_forward(
+            p, ids, ag.constant(np.repeat(memory.data, 3, axis=1))).data
+        np.testing.assert_allclose(three, one, rtol=1e-12, atol=1e-14)
 
     def test_memory_mask_excludes_slots_exactly(self):
+        # whatever sits in masked memory slots, the logits keep their bits
         rng = np.random.default_rng(3)
         cfg, p, memory = self._setup(rng, s=4)
+        ids = np.array([[CLS_ID, 7, 8]])
         mask = np.array([[True, True, False, False]])
-        collected: list[np.ndarray] = []
-        mdl.decoder_forward(p, np.array([[CLS_ID, 7]]), memory,
-                            memory_mask=mask, cross_probs_out=collected)
-        for probs in collected:
-            assert np.all(probs[..., 2:] == 0.0)
+        other = memory.data.copy()
+        other[:, 2:] = rng.normal(size=(1, 2, cfg.d_model))
+        l1 = mdl.decoder_forward(p, ids, memory, memory_mask=mask).data
+        l2 = mdl.decoder_forward(p, ids, ag.constant(other), memory_mask=mask).data
+        assert np.array_equal(l1, l2)
+        l3 = mdl.decoder_forward(p, ids, ag.constant(other)).data
+        assert not np.array_equal(l1, l3)
 
     def test_requires_decoder(self):
         p = mdl.init_params(tiny_config(decoder_layers=0))
@@ -290,8 +279,8 @@ class TestDecoderForward:
 
 
 def _stack_outputs(encoder_forward, decoder_forward, case: str, dropout: float):
-    """Hidden states, attention and cross-attention probabilities, logits and
-    every parameter gradient of one loss, as byte strings."""
+    """Hidden states, logits and every parameter gradient of one loss, as
+    byte strings."""
     cfg = tiny_config(vocab_size=19, n_layers=2, dropout=dropout, seed=3,
                       decoder_layers=0 if case == "encoder" else 2)
     p = mdl.init_params(cfg)
@@ -300,22 +289,19 @@ def _stack_outputs(encoder_forward, decoder_forward, case: str, dropout: float):
     mask = np.ones(ids.shape, dtype=bool)
     mask[1, 4:] = False
     drop = np.random.default_rng(9) if dropout else None
-    enc = encoder_forward(p, ids, mask, drop)
-    arrays = [enc.hidden.data, *enc.attention_probs]
+    hidden = encoder_forward(p, ids, mask, drop)
+    arrays = [hidden.data]
     if case == "encoder":
-        logits = mdl.mlm_logits(p, enc)
+        logits = mdl.mlm_logits(p, hidden)
     else:
         if case == "full_memory":
-            memory, memory_mask = enc.hidden, mask
+            memory, memory_mask = hidden, mask
         else:
-            flat = ag.reshape(enc.hidden, (12, cfg.d_model))
+            flat = ag.reshape(hidden, (12, cfg.d_model))
             memory = ag.reshape(ag.gather_rows(flat, np.array([2, 9])), (2, 1, cfg.d_model))
             memory_mask = None
         dec_ids = np.concatenate([np.full((2, 1), CLS_ID), rand_ids(rng, cfg, 2, 4)], axis=1)
-        cross: list[np.ndarray] = []
-        logits = decoder_forward(p, dec_ids, memory, memory_mask, drop, cross)
-        assert len(cross) == cfg.decoder_layers
-        arrays += cross
+        logits = decoder_forward(p, dec_ids, memory, memory_mask, drop)
     arrays.append(logits.data)
     labels = rng.integers(0, cfg.vocab_size, size=logits.shape[0] * logits.shape[1])
     loss = ag.cross_entropy(ag.reshape(logits, (labels.size, cfg.vocab_size)), labels)
@@ -344,12 +330,12 @@ class TestGradients:
         labels[1, 3] = 9
 
         def loss_fn():
-            out = mdl.encoder_forward(p, enc_ids)
-            logits = mdl.mlm_logits(p, out)
+            hidden = mdl.encoder_forward(p, enc_ids)
+            logits = mdl.mlm_logits(p, hidden)
             mloss = ag.cross_entropy(
                 ag.reshape(logits, (10, cfg.vocab_size)), labels.reshape(-1))
             dec_logits = mdl.decoder_forward(
-                p, np.array([[CLS_ID, 7, 8], [CLS_ID, 9, 10]]), out.hidden,
+                p, np.array([[CLS_ID, 7, 8], [CLS_ID, 9, 10]]), hidden,
                 memory_mask=enc_ids != PAD_ID)
             dloss = ag.cross_entropy(
                 ag.reshape(dec_logits, (6, cfg.vocab_size)),

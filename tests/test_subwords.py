@@ -76,6 +76,17 @@ class TestTraining:
         with pytest.raises(ValueError, match="empty"):
             sw.train_subwords([], 10)
 
+    def test_literal_special_token_is_never_merged(self):
+        # "<mask>" written out in the text would merge into a second
+        # "<mask>" token; its last merge is skipped, which costs a slot
+        with pytest.raises(ValueError, match="at most 29 tokens, requested 30"):
+            sw.train_subwords(_docs(*["<mask> is a word"] * 50), 30)
+        docs = _docs(*["<mask> is a word"] * 50 + ["a word for <mask> here"] * 5)
+        model = sw.train_subwords(docs, 40)
+        assert model.vocab_size == 40
+        assert not {a + b for a, b in model.merges} & set(sw.SPECIAL_TOKENS)
+        assert sw.MASK_ID not in model.encode("<mask> is a word")
+
     def test_deterministic(self, tmp_path):
         docs = _docs("a man a plan a canal", "panama bananas")
         m1 = sw.train_subwords(docs, 25)
@@ -146,6 +157,11 @@ class TestIncrementalMatchesRecount:
         for vocab_size in range(25, 33):
             self._assert_same(docs, vocab_size, tmp_path)
         assert sw.train_subwords(docs, 26).merges[0] == (" ", "c")
+
+    def test_literal_special_tokens(self, tmp_path):
+        docs = _docs("<mask> <mask> <pad>", "x<mark> <sep>y <cls>")
+        for vocab_size in range(30, 60, 3):
+            self._assert_same(docs, vocab_size, tmp_path)
 
     def test_words_collapse_to_one_symbol(self, tmp_path):
         # "ab" becomes one symbol after the first merge and then has no

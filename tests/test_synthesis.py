@@ -1,9 +1,11 @@
 """Prompt templates, response parsing, and dataset generation."""
 
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+import requests
 
 from desklm import synthesis as sy
 from desklm.corpus import (GrammarExample, NotionTag, WiktionaryEntry,
@@ -187,18 +189,20 @@ class TestClients:
         assert sy.prompt_key("hello") != sy.prompt_key("world")
         assert len(sy.prompt_key("hello")) == 16
 
-    def test_mock_mapping_and_directory(self, tmp_path):
+    def test_mock_directory(self, tmp_path):
         sy.write_canned_response(tmp_path, "disk prompt", "disk answer")
-        client = sy.MockCompletionClient({"mem prompt": "mem answer"},
-                                         directory=tmp_path)
-        assert client.complete("mem prompt") == "mem answer"
+        client = sy.MockCompletionClient(directory=tmp_path)
         assert client.complete("disk prompt") == "disk answer"
-        assert client.calls == 2
+        assert client.calls == 1
 
-    def test_mock_missing_prompt(self):
-        client = sy.MockCompletionClient({})
+    def test_mock_missing_prompt(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(time, "sleep", _no_sleep)
+        client = sy.MockCompletionClient(directory=tmp_path)
         with pytest.raises(sy.CompletionError, match="no canned response"):
-            client.complete("unknown")
+            sy.generate_notion_dataset(client, [sy.NotionSpec("x")],
+                                       sy.TopicList(("a",)), per_notion=1,
+                                       tag_count=0)
+        assert client.calls == 1
 
     def test_http_client_requires_env(self, monkeypatch):
         monkeypatch.delenv(sy.ENV_API_URL, raising=False)
@@ -209,28 +213,62 @@ class TestClients:
         with pytest.raises(sy.CompletionError, match=sy.ENV_API_KEY):
             sy.HTTPCompletionClient()
 
-    def test_retry_then_success(self):
-        class Flaky:
-            def __init__(self):
-                self.n = 0
+    @staticmethod
+    def _http(monkeypatch, replies):
+        """A live client whose posts answer `replies` in turn, raising those
+        that are exceptions; the posts and the sleeps are recorded."""
+        posts, waits = [], []
 
-            def complete(self, prompt):
-                self.n += 1
-                if self.n < 3:
-                    raise sy.CompletionError("transient")
-                return "ok"
+        def post(url, **kw):
+            posts.append(kw["json"])
+            reply = replies[len(posts) - 1]
+            if isinstance(reply, Exception):
+                raise reply
+            return reply
 
-        client = Flaky()
-        assert sy._complete_with_retry(client, "p", retries=3, retry_wait=0.0) == "ok"
-        assert client.n == 3
+        monkeypatch.setattr(requests, "post", post)
+        monkeypatch.setattr(time, "sleep", waits.append)
+        return sy.HTTPCompletionClient("http://example.invalid/v1", "key"), posts, waits
 
-    def test_retry_exhausted(self):
-        class Dead:
-            def complete(self, prompt):
-                raise sy.CompletionError("down")
+    def test_retry_then_success(self, monkeypatch):
+        replies = [requests.ConnectionError("refused"), _Reply(503),
+                   _Reply(200, {"completion": "ok"})]
+        client, posts, waits = self._http(monkeypatch, replies)
+        assert client.complete("p") == "ok"
+        assert posts == [{"prompt": "p"}] * 3
+        assert waits == [0.5, 1.0]
 
-        with pytest.raises(sy.CompletionError, match="down"):
-            sy._complete_with_retry(Dead(), "p", retries=2, retry_wait=0.0)
+    def test_retry_exhausted(self, monkeypatch):
+        client, posts, waits = self._http(monkeypatch, [_Reply(503)] * 4)
+        with pytest.raises(sy.CompletionError, match="after 3 attempts.*503"):
+            client.complete("p")
+        assert len(posts) == 3
+        assert waits == [0.5, 1.0]
+
+    def test_malformed_body_not_retried(self, monkeypatch):
+        body = requests.JSONDecodeError("Expecting value", "<html>", 0)
+        client, posts, _ = self._http(monkeypatch, [_Reply(200, body)])
+        with pytest.raises(sy.CompletionError, match="malformed JSON"):
+            client.complete("p")
+        assert len(posts) == 1
+
+
+def _no_sleep(seconds):
+    raise AssertionError(f"unexpected sleep of {seconds} s")
+
+
+class _Reply:
+    """Stand-in for a requests.Response: a status and a JSON body (an
+    exception stands for a body that does not parse)."""
+
+    def __init__(self, status_code, body=None):
+        self.status_code = status_code
+        self._body = body
+
+    def json(self):
+        if isinstance(self._body, Exception):
+            raise self._body
+        return self._body
 
 
 def _numbered(items):
@@ -279,7 +317,7 @@ class TestGenerateNotionDataset:
         client = sy.MockCompletionClient(directory=tmp_path)
         examples = sy.generate_notion_dataset(
             client, notions, topics, per_notion=5, tag_count=2, tag_notions=2,
-            chunk_size=5, retry_wait=0.0)
+            chunk_size=5)
         assert len(examples) == 10
         tagged = [e for e in examples if e.tags]
         assert len(tagged) == 4
@@ -289,17 +327,17 @@ class TestGenerateNotionDataset:
         notions, topics = self._setup(tmp_path)
         out1 = sy.generate_notion_dataset(
             sy.MockCompletionClient(directory=tmp_path), notions, topics,
-            per_notion=5, tag_count=2, tag_notions=2, chunk_size=5, retry_wait=0.0)
+            per_notion=5, tag_count=2, tag_notions=2, chunk_size=5)
         out2 = sy.generate_notion_dataset(
             sy.MockCompletionClient(directory=tmp_path), notions, topics,
-            per_notion=5, tag_count=2, tag_notions=2, chunk_size=5, retry_wait=0.0)
+            per_notion=5, tag_count=2, tag_notions=2, chunk_size=5)
         assert out1 == out2
 
     def test_per_notion_zero(self, tmp_path):
         client = sy.MockCompletionClient(directory=tmp_path)
         examples = sy.generate_notion_dataset(
             client, [sy.NotionSpec("x")], sy.TopicList(("physics",)),
-            per_notion=0, tag_count=0, tag_notions=0, retry_wait=0.0)
+            per_notion=0, tag_count=0, tag_notions=0)
         assert examples == []
         assert client.calls == 0
 
@@ -315,15 +353,29 @@ class TestGenerateNotionDataset:
         with caplog.at_level("WARNING"):
             examples = sy.generate_notion_dataset(
                 client, notions, topics, per_notion=3, tag_count=0, tag_notions=0,
-                chunk_size=3, retry_wait=0.0)
+                chunk_size=3)
         assert [e.sentence for e in examples] == ["A.", "B.", "C."]
         assert any("unparseable" in r.getMessage() for r in caplog.records)
 
-    def test_tag_count_exceeds_per_notion(self):
+    def test_tag_count_exceeds_per_notion(self, tmp_path):
         with pytest.raises(ValueError, match="exceeds"):
             sy.generate_notion_dataset(
-                sy.MockCompletionClient({}), [sy.NotionSpec("x")],
+                sy.MockCompletionClient(directory=tmp_path), [sy.NotionSpec("x")],
                 sy.TopicList(("a",)), per_notion=1, tag_count=2)
+
+    @pytest.mark.parametrize("kw, match", [
+        ({"chunk_size": 0}, "chunk_size must be >= 1"),
+        ({"per_notion": -2, "tag_count": -3}, "per_notion must be >= 0"),
+        ({"tag_count": -3}, "tag_count must be >= 0"),
+        ({"tag_notions": -1}, "tag_notions must be >= 0"),
+    ])
+    def test_bad_counts_rejected_before_any_call(self, tmp_path, kw, match):
+        client = sy.MockCompletionClient(directory=tmp_path)
+        counts = {"per_notion": 1, "tag_count": 0, **kw}
+        with pytest.raises(ValueError, match=match):
+            sy.generate_notion_dataset(client, [sy.NotionSpec("x")],
+                                       sy.TopicList(("a",)), **counts)
+        assert client.calls == 0
 
     def test_tag_parse_failure_skipped(self, tmp_path, caplog):
         notions = [sy.NotionSpec("adjunct clause", sentential=True)]
@@ -336,7 +388,7 @@ class TestGenerateNotionDataset:
         with caplog.at_level("WARNING"):
             examples = sy.generate_notion_dataset(
                 client, notions, topics, per_notion=1, tag_count=1, tag_notions=1,
-                chunk_size=1, retry_wait=0.0)
+                chunk_size=1)
         assert len(examples) == 1
         assert examples[0].tags == ()
         assert any("skipping tag" in r.getMessage() for r in caplog.records)

@@ -352,8 +352,8 @@ class TestTrainMLM:
         mask_rng, drop_rng = rngs()
         masked, labels = tr.apply_mlm_masking(batch, mcfg, mask_rng, cfg.vocab_size)
         assert 0 < int((labels != tr.IGNORE_INDEX).sum()) < labels.size
-        out = mdl.encoder_forward(params, masked, batch != PAD_ID, drop_rng)
-        logits = ag.reshape(mdl.mlm_logits(params, out), (batch.size, cfg.vocab_size))
+        hidden = mdl.encoder_forward(params, masked, batch != PAD_ID, drop_rng)
+        logits = ag.reshape(mdl.mlm_logits(params, hidden), (batch.size, cfg.vocab_size))
         ref = ag.cross_entropy(logits, labels.reshape(-1))
         ref_grads = mdl.backward(params, ref)
 
