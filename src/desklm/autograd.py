@@ -275,13 +275,16 @@ def gelu(a: Tensor) -> Tensor:
     return _make(out, (a,), bwd)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+LN_EPS = 1e-5
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize over the last axis, then apply learned gain and bias."""
     # x - mean once, then squared and scaled in place: the same operations,
     # in the same order, as np.var and (x - mean) * inv, so the same bits
     xhat = x.data - x.data.mean(axis=-1, keepdims=True)
     var = (xhat * xhat).sum(axis=-1, keepdims=True) / x.data.shape[-1]
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat *= inv
     out = xhat * gain.data
     out += bias.data
@@ -345,17 +348,16 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
 IGNORE_INDEX = -100
 
 
-def cross_entropy(logits: Tensor, labels: np.ndarray,
-                  ignore_index: int = IGNORE_INDEX) -> Tensor:
+def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     """Mean negative log-likelihood of `labels` under row-wise softmax.
 
-    logits: (N, V); labels: (N,) ints, rows equal to ignore_index excluded.
+    logits: (N, V); labels: (N,) ints, rows equal to IGNORE_INDEX excluded.
     Raises if every label is ignored.
     """
     labels = np.asarray(labels)
     if logits.data.ndim != 2 or labels.shape != (logits.data.shape[0],):
         raise ValueError("cross_entropy expects (N, V) logits and (N,) labels")
-    kept = labels != ignore_index
+    kept = labels != IGNORE_INDEX
     n_kept = int(kept.sum())
     if n_kept == 0:
         raise ValueError("cross_entropy: all labels are ignored")

@@ -23,7 +23,7 @@ from . import evaluation as ev
 from . import model as mdl
 from . import synthesis as sy
 from . import training as tr
-from .subwords import SubwordModel, train_subwords
+from .subwords import NUM_SPECIALS, SubwordModel, train_subwords
 
 log = logging.getLogger(__name__)
 
@@ -186,8 +186,9 @@ def cmd_synth_generate(args) -> int:
 # -- train --------------------------------------------------------------------
 
 def _model_config(args) -> mdl.ModelConfig:
+    # a --subwords model's size is set once it is read; the least valid one stands in
     return mdl.ModelConfig(
-        vocab_size=args.vocab_size,
+        vocab_size=NUM_SPECIALS + 1 if args.vocab_size is None else args.vocab_size,
         n_layers=args.layers,
         n_heads=args.heads,
         d_model=args.d_model,
@@ -218,6 +219,10 @@ def cmd_train(args) -> int:
                          "--mlm-wikt or --mlm-gram")
     if args.aux_weight is not None and args.mlm:
         raise UsageError("--aux-weight is only used with --mlm-wikt or --mlm-gram")
+    if args.subwords and args.vocab_size is not None:
+        raise UsageError("--vocab-size sizes a new tokenizer; --subwords brings its own")
+    if not args.subwords and args.vocab_size is None:
+        args.vocab_size = 40000
     try:
         cfg = _training_config(args)
         model_cfg = _model_config(args)
@@ -267,6 +272,15 @@ def cmd_train(args) -> int:
 # -- eval ---------------------------------------------------------------------
 
 def cmd_eval(args) -> int:
+    if args.pairs and (args.n is not None or args.seed is not None):
+        raise UsageError("--n and --seed shape --toy pairs only")
+    if args.toy and args.blimp:
+        raise UsageError("--blimp reads a --pairs file only")
+    if args.toy:
+        args.n = 500 if args.n is None else args.n
+        args.seed = 0 if args.seed is None else args.seed
+        if args.n < 1:
+            raise UsageError("--n must be >= 1")
     out = Path(args.out_dir)
     inputs = [Path(args.checkpoint), Path(args.subwords)]
     if args.pairs:
@@ -275,6 +289,9 @@ def cmd_eval(args) -> int:
                        ["report.json", "report.txt", "scores.jsonl"])
     params = mdl.load_checkpoint(args.checkpoint)
     subwords = SubwordModel.load(args.subwords)
+    if params.config.vocab_size != subwords.vocab_size:
+        raise ValueError(f"{args.checkpoint} is a model of {params.config.vocab_size} "
+                         f"tokens but {args.subwords} has {subwords.vocab_size}")
     if args.pairs:
         loader = ev.load_blimp_pairs if args.blimp else ev.load_minimal_pairs
         pairs = loader(args.pairs)
@@ -363,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--kind", default="unconstrained", choices=cp.SOURCE_KINDS)
     p_train.add_argument("--subwords", help="reuse an existing subword model")
     p_train.add_argument("--out-dir", required=True)
-    p_train.add_argument("--vocab-size", type=int, default=40000)
+    p_train.add_argument("--vocab-size", type=int, default=None,
+                         help="size of a new tokenizer (default 40000)")
     p_train.add_argument("--context-size", type=int, default=64)
     p_train.add_argument("--batch-size", type=int, default=64)
     p_train.add_argument("--epochs", type=int, default=50)
@@ -391,8 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     which.add_argument("--toy", choices=("subject-verb", "determiner-noun"))
     p_eval.add_argument("--blimp", action="store_true",
                         help="read --pairs in BLiMP field layout")
-    p_eval.add_argument("--n", type=int, default=500)
-    p_eval.add_argument("--seed", type=int, default=0)
+    p_eval.add_argument("--n", type=int, default=None, help="--toy pairs (default 500)")
+    p_eval.add_argument("--seed", type=int, default=None, help="--toy seed (default 0)")
     p_eval.add_argument("--model-id", default=None)
     p_eval.add_argument("--out-dir", required=True)
     p_eval.set_defaults(func=cmd_eval)

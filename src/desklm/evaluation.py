@@ -43,23 +43,21 @@ class MinimalPair:
 
 
 class EvalReport:
-    """Per-phenomenon correct/total counts of the scored pairs, the number
-    of pairs skipped as too long for the model, identifying strings, and
-    optionally one score record per input pair (see `evaluate_suite`)."""
+    """One score record per input pair (see `evaluate_suite`), identifying
+    strings, and what the records add up to: per-phenomenon correct/total
+    counts of the scored pairs, in first-scored order, and the number of
+    pairs skipped as too long for the model."""
 
-    def __init__(self, model_id: str, pairs_id: str,
-                 counts: dict[str, tuple[int, int]], skipped: int = 0,
-                 scores: Sequence[dict] = ()):
-        for name, (correct, total) in counts.items():
-            if not 0 <= correct <= total:
-                raise ValueError(f"bad counts for {name!r}: {correct}/{total}")
-        if skipped < 0:
-            raise ValueError(f"bad skipped count: {skipped}")
+    def __init__(self, model_id: str, pairs_id: str, scores: Sequence[dict]):
         self.model_id = model_id
         self.pairs_id = pairs_id
-        self.counts = {k: (int(c), int(t)) for k, (c, t) in counts.items()}
-        self.skipped = int(skipped)
         self.scores = list(scores)
+        self.counts: dict[str, tuple[int, int]] = {}
+        for rec in self.scores:
+            if not rec.get("skipped"):
+                c, t = self.counts.get(rec["phenomenon"], (0, 0))
+                self.counts[rec["phenomenon"]] = (c + int(rec["correct"]), t + 1)
+        self.skipped = len(self.scores) - self.pair_count
 
     def accuracy(self, phenomenon: str) -> float:
         c, t = self.counts[phenomenon]
@@ -87,16 +85,6 @@ class EvalReport:
             "skipped": self.skipped,
         }
         return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        obj = json.loads(text)
-        counts = {name: (rec["correct"], rec["total"])
-                  for name, rec in obj["phenomena"].items()}
-        report = cls(obj["model"], obj["pairs"], counts, obj["skipped"])
-        if report.pair_count != obj["pair_count"]:
-            raise ValueError("pair_count does not match per-phenomenon totals")
-        return report
 
     def scores_to_jsonl(self) -> str:
         """The per-pair score records, one JSON line each, in input order."""
@@ -185,21 +173,16 @@ def evaluate_suite(params: ParameterSet, subwords: SubwordModel,
         raise ValueError(f"all {len(pairs)} pairs have a sentence longer than "
                          f"the model's {limit} positions")
     pll = {s: pseudo_log_likelihood(params, subwords, s) for s in _sentences(scored)}
-    counts: dict[str, list[int]] = {}
     scores = []
     for pair in pairs:
         rec = {"good": pair.good, "bad": pair.bad, "phenomenon": pair.phenomenon}
         if pair.good in pll and pair.bad in pll:
             good, bad = pll[pair.good], pll[pair.bad]
             rec.update(pll_good=good, pll_bad=bad, margin=good - bad, correct=good > bad)
-            c = counts.setdefault(pair.phenomenon, [0, 0])
-            c[0] += int(rec["correct"])
-            c[1] += 1
         else:
             rec["skipped"] = True
         scores.append(rec)
-    return EvalReport(model_id, pairs_id, {k: (c, t) for k, (c, t) in counts.items()},
-                      skipped=len(pairs) - len(scored), scores=scores)
+    return EvalReport(model_id, pairs_id, scores)
 
 
 # -- synthetic minimal pairs --------------------------------------------------

@@ -78,67 +78,52 @@ class ParameterSet:
         return sum(t.data.size for t in self.tensors.values())
 
 
-def _layer_param_names(prefix: str, cross_attention: bool) -> list[tuple[str, str]]:
-    names = [
-        (f"{prefix}.ln1.g", "ln_g"), (f"{prefix}.ln1.b", "ln_b"),
-        (f"{prefix}.attn.wq", "proj"), (f"{prefix}.attn.bq", "bias"),
-        (f"{prefix}.attn.wk", "proj"), (f"{prefix}.attn.bk", "bias"),
-        (f"{prefix}.attn.wv", "proj"), (f"{prefix}.attn.bv", "bias"),
-        (f"{prefix}.attn.wo", "proj"), (f"{prefix}.attn.bo", "bias"),
-    ]
-    if cross_attention:
-        names += [
-            (f"{prefix}.lnc.g", "ln_g"), (f"{prefix}.lnc.b", "ln_b"),
-            (f"{prefix}.cross.wq", "proj"), (f"{prefix}.cross.bq", "bias"),
-            (f"{prefix}.cross.wk", "proj"), (f"{prefix}.cross.bk", "bias"),
-            (f"{prefix}.cross.wv", "proj"), (f"{prefix}.cross.bv", "bias"),
-            (f"{prefix}.cross.wo", "proj"), (f"{prefix}.cross.bo", "bias"),
-        ]
-    names += [
-        (f"{prefix}.ln2.g", "ln_g"), (f"{prefix}.ln2.b", "ln_b"),
-        (f"{prefix}.ffn.w1", "ffn_in"), (f"{prefix}.ffn.b1", "ffn_bias"),
-        (f"{prefix}.ffn.w2", "ffn_out"), (f"{prefix}.ffn.b2", "bias"),
-    ]
-    return names
-
-
-def _param_specs(config: ModelConfig) -> list[tuple[str, str, tuple[int, ...]]]:
-    """(name, kind, shape) of every parameter, in draw and checkpoint order."""
+def _param_specs(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every parameter, in draw and checkpoint order."""
     d, ff, v = config.d_model, config.d_ff, config.vocab_size
-    shapes = {"proj": (d, d), "bias": (d,), "ln_g": (d,), "ln_b": (d,),
-              "ffn_in": (d, ff), "ffn_bias": (ff,), "ffn_out": (ff, d)}
-    specs = [("tok_emb", "emb", (v, d)), ("pos_emb", "emb", (config.max_positions, d))]
-    for i in range(config.n_layers):
-        specs += [(name, kind, shapes[kind])
-                  for name, kind in _layer_param_names(f"enc.{i}", cross_attention=False)]
-    specs += [("enc_ln.g", "ln_g", (d,)), ("enc_ln.b", "ln_b", (d,)),
-              ("mlm.w", "head", (d, v)), ("mlm.b", "zeros", (v,))]
-    for i in range(config.decoder_layers):
-        specs += [(name, kind, shapes[kind])
-                  for name, kind in _layer_param_names(f"dec.{i}", cross_attention=True)]
+
+    def norm(ln: str) -> list:
+        return [(f"{ln}.g", (d,)), (f"{ln}.b", (d,))]
+
+    def attention(a: str) -> list:
+        return [spec for x in "qkvo" for spec in ((f"{a}.w{x}", (d, d)), (f"{a}.b{x}", (d,)))]
+
+    def stack(prefix: str, n_layers: int, head: str) -> list:
+        # decoder layers cross-attend to the encoder's states, as in _stack
+        specs = []
+        for i in range(n_layers):
+            layer = f"{prefix}.{i}"
+            specs += norm(f"{layer}.ln1") + attention(f"{layer}.attn")
+            if prefix == "dec":
+                specs += norm(f"{layer}.lnc") + attention(f"{layer}.cross")
+            specs += norm(f"{layer}.ln2") + [
+                (f"{layer}.ffn.w1", (d, ff)), (f"{layer}.ffn.b1", (ff,)),
+                (f"{layer}.ffn.w2", (ff, d)), (f"{layer}.ffn.b2", (d,))]
+        return specs + norm(f"{prefix}_ln") + [(f"{head}.w", (d, v)), (f"{head}.b", (v,))]
+
+    specs = [("tok_emb", (v, d)), ("pos_emb", (config.max_positions, d))]
+    specs += stack("enc", config.n_layers, "mlm")
     if config.decoder_layers:
-        specs += [("dec_ln.g", "ln_g", (d,)), ("dec_ln.b", "ln_b", (d,)),
-                  ("dec_head.w", "head", (d, v)), ("dec_head.b", "zeros", (v,))]
+        specs += stack("dec", config.decoder_layers, "dec_head")
     return specs
 
 
 def init_params(config: ModelConfig) -> ParameterSet:
     """Draw parameters deterministically from config.seed.
 
-    Weight matrices ~ N(0, 0.02^2); biases zero; layer-norm scale one,
-    offset zero. Encoder weights are drawn before any decoder weights, so
-    the encoder initialization is identical whether or not a decoder is
-    attached (same seed).
+    Every matrix (embeddings, projections, heads) ~ N(0, 0.02^2); every
+    vector is zero except the layer-norm gains (`.g`), which are one.
+    Encoder weights are drawn before any decoder weights, so the encoder
+    initialization is identical whether or not a decoder is attached
+    (same seed).
     """
     rng = np.random.default_rng(config.seed)
     tensors: dict[str, Tensor] = {}
-    for name, kind, shape in _param_specs(config):
-        if kind == "ln_g":
-            data = np.ones(shape)
-        elif kind in ("ln_b", "bias", "ffn_bias", "zeros"):
-            data = np.zeros(shape)
-        else:
+    for name, shape in _param_specs(config):
+        if len(shape) == 2:
             data = rng.normal(0.0, 0.02, size=shape)
+        else:
+            data = np.ones(shape) if name.endswith(".g") else np.zeros(shape)
         tensors[name] = Tensor(data, requires_grad=True)
     return ParameterSet(config, tensors)
 
@@ -376,7 +361,7 @@ def load_checkpoint(path: str | Path) -> ParameterSet:
         listed = {name: tuple(shape) for name, shape in header["tensors"]}
     except (KeyError, TypeError, ValueError) as e:
         raise ValueError(f"{path}: malformed checkpoint header: {e!r}") from e
-    expected = {name: shape for name, _, shape in _param_specs(config)}
+    expected = dict(_param_specs(config))
     if len(listed) != len(header["tensors"]) or listed != expected:
         wrong = sorted(n for n in listed.keys() | expected.keys()
                        if listed.get(n) != expected.get(n))

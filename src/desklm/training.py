@@ -157,8 +157,7 @@ class AdamWState:
 
 
 def adamw_step(params: ParameterSet, grads: dict[str, np.ndarray],
-               state: AdamWState, lr: float,
-               cfg: TrainingConfig) -> tuple[ParameterSet, AdamWState]:
+               state: AdamWState, lr: float, cfg: TrainingConfig) -> None:
     """One AdamW update with bias correction; decoupled weight decay is
     applied to weight matrices only (ndim >= 2), not norms or biases.
 
@@ -192,7 +191,6 @@ def adamw_step(params: ParameterSet, grads: dict[str, np.ndarray],
             update += np.multiply(t.data, cfg.weight_decay, out=tmp)
         update *= lr
         t.data -= update
-    return params, state
 
 
 class TrainLog:

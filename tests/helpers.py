@@ -246,6 +246,66 @@ def reference_decoder_forward(params: ParameterSet, target_ids, memory: ag.Tenso
     return ag.add(ag.matmul(x, params["dec_head.w"]), params["dec_head.b"])
 
 
+def _reference_layer_param_names(prefix: str, cross_attention: bool) -> list[tuple[str, str]]:
+    names = [
+        (f"{prefix}.ln1.g", "ln_g"), (f"{prefix}.ln1.b", "ln_b"),
+        (f"{prefix}.attn.wq", "proj"), (f"{prefix}.attn.bq", "bias"),
+        (f"{prefix}.attn.wk", "proj"), (f"{prefix}.attn.bk", "bias"),
+        (f"{prefix}.attn.wv", "proj"), (f"{prefix}.attn.bv", "bias"),
+        (f"{prefix}.attn.wo", "proj"), (f"{prefix}.attn.bo", "bias"),
+    ]
+    if cross_attention:
+        names += [
+            (f"{prefix}.lnc.g", "ln_g"), (f"{prefix}.lnc.b", "ln_b"),
+            (f"{prefix}.cross.wq", "proj"), (f"{prefix}.cross.bq", "bias"),
+            (f"{prefix}.cross.wk", "proj"), (f"{prefix}.cross.bk", "bias"),
+            (f"{prefix}.cross.wv", "proj"), (f"{prefix}.cross.bv", "bias"),
+            (f"{prefix}.cross.wo", "proj"), (f"{prefix}.cross.bo", "bias"),
+        ]
+    names += [
+        (f"{prefix}.ln2.g", "ln_g"), (f"{prefix}.ln2.b", "ln_b"),
+        (f"{prefix}.ffn.w1", "ffn_in"), (f"{prefix}.ffn.b1", "ffn_bias"),
+        (f"{prefix}.ffn.w2", "ffn_out"), (f"{prefix}.ffn.b2", "bias"),
+    ]
+    return names
+
+
+def reference_param_specs(config: ModelConfig) -> list[tuple[str, str, tuple[int, ...]]]:
+    """(name, kind, shape) of every parameter, in draw and checkpoint order,
+    from an explicit table of what each name holds."""
+    d, ff, v = config.d_model, config.d_ff, config.vocab_size
+    shapes = {"proj": (d, d), "bias": (d,), "ln_g": (d,), "ln_b": (d,),
+              "ffn_in": (d, ff), "ffn_bias": (ff,), "ffn_out": (ff, d)}
+    specs = [("tok_emb", "emb", (v, d)), ("pos_emb", "emb", (config.max_positions, d))]
+    for i in range(config.n_layers):
+        specs += [(name, kind, shapes[kind]) for name, kind
+                  in _reference_layer_param_names(f"enc.{i}", cross_attention=False)]
+    specs += [("enc_ln.g", "ln_g", (d,)), ("enc_ln.b", "ln_b", (d,)),
+              ("mlm.w", "head", (d, v)), ("mlm.b", "zeros", (v,))]
+    for i in range(config.decoder_layers):
+        specs += [(name, kind, shapes[kind]) for name, kind
+                  in _reference_layer_param_names(f"dec.{i}", cross_attention=True)]
+    if config.decoder_layers:
+        specs += [("dec_ln.g", "ln_g", (d,)), ("dec_ln.b", "ln_b", (d,)),
+                  ("dec_head.w", "head", (d, v)), ("dec_head.b", "zeros", (v,))]
+    return specs
+
+
+def reference_init_params(config: ModelConfig) -> dict[str, np.ndarray]:
+    """Parameters drawn by kind: layer-norm gains one, biases and offsets
+    zero, every other kind ~ N(0, 0.02^2), in `reference_param_specs` order."""
+    rng = np.random.default_rng(config.seed)
+    arrays = {}
+    for name, kind, shape in reference_param_specs(config):
+        if kind == "ln_g":
+            arrays[name] = np.ones(shape)
+        elif kind in ("ln_b", "bias", "ffn_bias", "zeros"):
+            arrays[name] = np.zeros(shape)
+        else:
+            arrays[name] = rng.normal(0.0, 0.02, size=shape)
+    return arrays
+
+
 def zero_params(config: mdl.ModelConfig) -> mdl.ParameterSet:
     """A model whose every weight is zero: exactly uniform MLM logits."""
     params = mdl.init_params(config)

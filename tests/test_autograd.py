@@ -1,5 +1,7 @@
 """Finite-difference verification of every autodiff op, plus graph mechanics."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,15 @@ class TestNormalization:
         expect = gain * ((x - mu) * inv) + bias
         assert out.data.tobytes() == expect.tobytes()
 
+    def test_layer_norm_eps_is_one_module_constant(self):
+        # no caller passes its own epsilon, so layer_norm takes none
+        assert "eps" not in inspect.signature(ag.layer_norm).parameters
+        assert ag.LN_EPS == 1e-5
+        x = np.array([[0.0, 1e-3]])  # variance 2.5e-7, well below the epsilon
+        out = ag.layer_norm(ag.constant(x), ag.constant(np.ones(2)), ag.constant(np.zeros(2)))
+        half = 5e-4 / np.sqrt(2.5e-7 + ag.LN_EPS)
+        np.testing.assert_allclose(out.data, [[-half, half]], rtol=1e-12)
+
     def test_layer_norm_output_statistics(self):
         x = ag.constant(RNG.normal(size=(4, 8)) * 3 + 7)
         out = ag.layer_norm(x, ag.constant(np.ones(8)), ag.constant(np.zeros(8)))
@@ -276,6 +287,13 @@ class TestCrossEntropy:
         ag.backward(ag.cross_entropy(logits, labels))
         assert np.all(logits.grad[1] == 0.0)
         assert np.any(logits.grad[0] != 0.0)
+
+    def test_ignore_label_is_the_module_constant(self):
+        # the tracer and the masking read IGNORE_INDEX; no caller passes another
+        assert "ignore_index" not in inspect.signature(ag.cross_entropy).parameters
+        logits = ag.constant(np.zeros((2, 2)))
+        loss = ag.cross_entropy(logits, np.array([0, ag.IGNORE_INDEX]))
+        np.testing.assert_allclose(loss.data, np.log(2.0), rtol=1e-12)
 
     def test_all_ignored(self):
         logits = ag.constant(np.zeros((2, 3)))

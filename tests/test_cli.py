@@ -19,7 +19,7 @@ from desklm import corpus as cp
 from desklm import evaluation as ev
 from desklm import model as mdl
 from desklm import synthesis as sy
-from desklm.subwords import SPECIAL_TOKENS, train_subwords
+from desklm.subwords import SPECIAL_TOKENS, SubwordModel, train_subwords
 
 from helpers import make_pseudo_corpus
 
@@ -86,9 +86,9 @@ def test_render_figure_1_without_topic_is_usage_error(capsys):
 
 # -- README examples ------------------------------------------------------------
 
-def test_readme_commands_parse():
-    # every `desklm ...` line of README's sh blocks, continuations joined and
-    # leading VAR=value assignments dropped, is only parsed, never run
+def _readme_commands() -> list[list[str]]:
+    """Every `desklm ...` line of README's sh blocks, continuations joined
+    and leading VAR=value assignments dropped."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     commands = []
     for block in re.findall(r"```sh\n(.*?)```", readme, re.DOTALL):
@@ -98,9 +98,23 @@ def test_readme_commands_parse():
                 words.pop(0)
             if words and words[0] == "desklm":
                 commands.append(words[1:])
+    return commands
+
+
+def test_readme_commands_parse(tmp_path, monkeypatch, capsys):
+    commands = _readme_commands()
     assert len(commands) >= 10
     for argv in commands:
         cli.build_parser().parse_args(argv)
+    # run through the flag rules too: in an empty directory with no endpoint
+    # set, every input is missing, so a command exits 0 (render), 2 or 3
+    # without training anything or touching the network, but never 1
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(sy.ENV_API_URL, raising=False)
+    monkeypatch.delenv(sy.ENV_API_KEY, raising=False)
+    for argv in commands:
+        code = cli.main(argv)
+        assert code != cli.EXIT_USAGE, (argv, capsys.readouterr().err)
 
 
 # -- corpus subcommands ----------------------------------------------------------
@@ -342,16 +356,40 @@ def test_train_mlm_rerun_is_identical(tmp_path, corpus_path, mlm_run):
             == (mlm_run / cli.TRAINLOG_NAME).read_bytes())
 
 
+def _without_vocab_size(flags: list[str]) -> list[str]:
+    i = flags.index("--vocab-size")
+    return flags[:i] + flags[i + 2:]
+
+
 def test_train_reuses_existing_subwords(tmp_path, corpus_path, mlm_run):
     out_dir = tmp_path / "reuse"
     code = cli.main(["train", "--mlm", "--corpus", str(corpus_path),
                      "--subwords", str(mlm_run / cli.SUBWORDS_NAME),
-                     "--out-dir", str(out_dir)] + TRAIN_FLAGS)
+                     "--out-dir", str(out_dir)] + _without_vocab_size(TRAIN_FLAGS))
     assert code == cli.EXIT_OK
     assert ((out_dir / cli.SUBWORDS_NAME).read_bytes()
             == (mlm_run / cli.SUBWORDS_NAME).read_bytes())
     assert ((out_dir / cli.CHECKPOINT_NAME).read_bytes()
             == (mlm_run / cli.CHECKPOINT_NAME).read_bytes())
+    # the manifest records no size the run did not use; the train log has the real one
+    run = json.loads((out_dir / cli.MANIFEST_NAME).read_text(encoding="utf-8"))
+    assert run["config"]["vocab_size"] is None
+    with open(out_dir / cli.TRAINLOG_NAME, encoding="utf-8") as f:
+        assert json.loads(f.readline())["model_config"]["vocab_size"] == 80
+
+
+def test_train_vocab_size_with_subwords_is_usage_error(tmp_path, corpus_path, mlm_run,
+                                                       monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("read an input before checking the flags")
+    monkeypatch.setattr(cp, "load_source", never)
+    monkeypatch.setattr(cli.SubwordModel, "load", never)
+    code = cli.main(["train", "--mlm", "--corpus", str(corpus_path),
+                     "--subwords", str(mlm_run / cli.SUBWORDS_NAME), "--vocab-size", "500",
+                     "--out-dir", str(tmp_path / "o")] + _without_vocab_size(TRAIN_FLAGS))
+    assert code == cli.EXIT_USAGE
+    assert "--vocab-size" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_train_default_warmup_on_tiny_corpus_is_data_error(tmp_path, corpus_path,
@@ -467,13 +505,14 @@ def test_eval_toy_report(tmp_path, eval_artifacts, capsys):
     printed = capsys.readouterr().out
     assert "macro average" in printed
 
-    report = ev.EvalReport.from_json((out_dir / "report.json").read_text("utf-8"))
-    assert report.model_id == cli.CHECKPOINT_NAME
-    assert report.pairs_id == "toy:subject-verb:n30:seed5"
-    assert report.pair_count == 30
-    assert 0.0 <= report.macro_average <= 1.0
-    assert (out_dir / "report.txt").read_text("utf-8") == report.to_text()
-    assert (out_dir / cli.MANIFEST_NAME).is_file()
+    report = json.loads((out_dir / "report.json").read_text("utf-8"))
+    assert report["model"] == cli.CHECKPOINT_NAME
+    assert report["pairs"] == "toy:subject-verb:n30:seed5"
+    assert report["pair_count"] == 30
+    assert 0.0 <= report["macro_average"] <= 1.0
+    assert (out_dir / "report.txt").read_text("utf-8") == printed
+    run = json.loads((out_dir / cli.MANIFEST_NAME).read_text("utf-8"))
+    assert (run["seed"], run["config"]["n"]) == (5, 30)
 
 
 def test_eval_toy_is_deterministic(tmp_path, eval_artifacts):
@@ -488,6 +527,9 @@ def test_eval_toy_is_deterministic(tmp_path, eval_artifacts):
         assert code == cli.EXIT_OK
         outs.append((out_dir / "report.json").read_bytes())
     assert outs[0] == outs[1]
+    # --toy's seed defaults to 0, and the manifest says so
+    assert json.loads(outs[0])["pairs"] == "toy:determiner-noun:n20:seed0"
+    assert json.loads((out_dir / cli.MANIFEST_NAME).read_text("utf-8"))["seed"] == 0
 
 
 def test_eval_pairs_file(tmp_path, eval_artifacts):
@@ -502,10 +544,52 @@ def test_eval_pairs_file(tmp_path, eval_artifacts):
                      "--pairs", str(pairs_path), "--model-id", "probe",
                      "--out-dir", str(out_dir)])
     assert code == cli.EXIT_OK
-    report = ev.EvalReport.from_json((out_dir / "report.json").read_text("utf-8"))
-    assert report.model_id == "probe"
-    assert report.pairs_id == "pairs.jsonl"
-    assert report.pair_count == 5
+    report = json.loads((out_dir / "report.json").read_text("utf-8"))
+    assert report["model"] == "probe"
+    assert report["pairs"] == "pairs.jsonl"
+    assert report["pair_count"] == 5
+    # --seed and --n shape --toy pairs only, so a --pairs run records neither
+    run = json.loads((out_dir / cli.MANIFEST_NAME).read_text("utf-8"))
+    assert run["seed"] is None and run["config"]["n"] is None
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--pairs", "p.jsonl", "--seed", "1", "--n", "7"], "--n and --seed shape --toy pairs"),
+    (["--pairs", "p.jsonl", "--seed", "2"], "--n and --seed shape --toy pairs"),
+    (["--pairs", "p.jsonl", "--blimp", "--n", "7"], "--n and --seed shape --toy pairs"),
+    (["--toy", "subject-verb", "--blimp"], "--blimp reads a --pairs file only"),
+    (["--toy", "subject-verb", "--n", "0"], "--n must be >= 1"),
+])
+def test_eval_flag_misuse_is_usage_error_before_manifest(tmp_path, eval_artifacts,
+                                                         monkeypatch, capsys,
+                                                         flags, message):
+    def never(*args, **kwargs):
+        raise AssertionError("loaded the checkpoint before checking the flags")
+    monkeypatch.setattr(mdl, "load_checkpoint", never)
+    code = cli.main(["eval", "--checkpoint", str(eval_artifacts / cli.CHECKPOINT_NAME),
+                     "--subwords", str(eval_artifacts / cli.SUBWORDS_NAME),
+                     "--out-dir", str(tmp_path / "o")] + flags)
+    assert code == cli.EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("model_size, tokenizer_size", [(120, 80), (80, 120)])
+def test_eval_tokenizer_not_matching_checkpoint_is_data_error(tmp_path, capsys,
+                                                              model_size, tokenizer_size):
+    checkpoint, subwords = tmp_path / "model.bin", tmp_path / "sw.json"
+    config = mdl.ModelConfig(vocab_size=model_size, n_layers=1, n_heads=2, d_model=16,
+                             d_ff=32, seed=1)
+    mdl.save_checkpoint(mdl.init_params(config), checkpoint)
+    words = [f"w{k}" for k in range(tokenizer_size - len(SPECIAL_TOKENS))]
+    SubwordModel(list(SPECIAL_TOKENS) + words, []).save(subwords)
+    code = cli.main(["eval", "--checkpoint", str(checkpoint), "--subwords", str(subwords),
+                     "--toy", "subject-verb", "--n", "2", "--out-dir", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_DATA, err
+    assert (f"data error: {checkpoint} is a model of {model_size} tokens but {subwords} "
+            f"has {tokenizer_size}") in err
+    assert not (tmp_path / "o" / "report.json").exists()
 
 
 def test_eval_writes_pair_scores(tmp_path, eval_artifacts):

@@ -264,44 +264,62 @@ class TestPairScores:
             assert r["correct"] == ev.score_pair(small_params, toy_subwords, p)
 
 
+def _records(counts: dict[str, tuple[int, int]], skipped: int = 0) -> list[dict]:
+    """Score records holding `counts` (correct, total) a phenomenon, then
+    `skipped` skipped pairs."""
+    recs = [{"good": f"{name} {k}", "bad": f"{name} {k} x", "phenomenon": name,
+             "correct": k < c} for name, (c, t) in counts.items() for k in range(t)]
+    return recs + [{"good": f"long {k}", "bad": f"long {k} x", "phenomenon": "long",
+                    "skipped": True} for k in range(skipped)]
+
+
 class TestEvalReport:
-    def test_count_validation(self):
-        with pytest.raises(ValueError, match="bad counts"):
-            ev.EvalReport("m", "p", {"x": (3, 2)})
+    def test_counts_are_the_aggregate_of_the_scores(self, toy_subwords, small_params):
+        long = " ".join(["cat"] * 70)
+        pairs = [ev.MinimalPair("this dog runs", "these dog runs", "dn"),
+                 ev.MinimalPair(long, "the dog runs", "sv"),
+                 ev.MinimalPair("the cat sleeps", "the cat sleep", "sv"),
+                 ev.MinimalPair("the cats sleep", "the cats sleeps", "sv"),
+                 ev.MinimalPair("the dog runs", long, "only long"),
+                 ev.MinimalPair("those cats sleep", "that cats sleep", "dn")]
+        report = ev.evaluate_suite(small_params, toy_subwords, pairs)
+        counts: dict[str, tuple[int, int]] = {}
+        for r in report.scores:
+            if not r.get("skipped"):
+                c, t = counts.get(r["phenomenon"], (0, 0))
+                counts[r["phenomenon"]] = (c + r["correct"], t + 1)
+        assert list(report.counts.items()) == list(counts.items())
+        assert list(report.counts) == ["dn", "sv"]
+        assert report.skipped == sum(bool(r.get("skipped")) for r in report.scores) == 2
+        assert report.pair_count == 4
+        accs = [c / t for c, t in counts.values()]
+        assert report.macro_average == sum(accs) / len(accs)
 
     def test_json_round_trip(self):
         report = ev.EvalReport("model-a", "pairs-b",
-                               {"sv": (400, 500), "dn": (250, 500)})
-        back = ev.EvalReport.from_json(report.to_json())
-        assert back.model_id == "model-a"
-        assert back.pairs_id == "pairs-b"
-        assert back.counts == report.counts
-        assert back.skipped == 0
+                               _records({"sv": (400, 500), "dn": (250, 500)}))
+        assert json.loads(report.to_json()) == {
+            "model": "model-a", "pairs": "pairs-b",
+            "phenomena": {"dn": {"correct": 250, "total": 500, "accuracy": 0.5},
+                          "sv": {"correct": 400, "total": 500, "accuracy": 0.8}},
+            "macro_average": 0.65, "pair_count": 1000, "skipped": 0}
 
     def test_json_round_trip_with_skipped(self):
-        report = ev.EvalReport("m", "p", {"sv": (3, 4)}, skipped=5)
-        assert json.loads(report.to_json())["skipped"] == 5
-        back = ev.EvalReport.from_json(report.to_json())
-        assert back.skipped == 5
-        assert back.to_json() == report.to_json()
-        with pytest.raises(ValueError, match="skipped"):
-            ev.EvalReport("m", "p", {"sv": (3, 4)}, skipped=-1)
+        report = ev.EvalReport("m", "p", _records({"sv": (3, 4)}, skipped=5))
+        obj = json.loads(report.to_json())
+        assert (obj["skipped"], obj["pair_count"]) == (5, 4)
+        assert "long" not in obj["phenomena"]
+        assert report.to_text().splitlines()[-1] == "skipped 5 over-length pairs"
+        assert "skipped" not in ev.EvalReport("m", "p", _records({"sv": (3, 4)})).to_text()
 
     def test_json_is_stable(self):
-        report = ev.EvalReport("m", "p", {"a": (1, 2)})
+        report = ev.EvalReport("m", "p", _records({"a": (1, 2)}))
         assert report.to_json() == report.to_json()
         assert report.to_json().endswith("\n")
 
-    def test_pair_count_consistency_enforced(self):
-        report = ev.EvalReport("m", "p", {"a": (1, 2)})
-        obj = json.loads(report.to_json())
-        obj["pair_count"] = 99
-        with pytest.raises(ValueError, match="pair_count"):
-            ev.EvalReport.from_json(json.dumps(obj))
-
     def test_text_table(self):
-        report = ev.EvalReport("m", "p", {"subject-verb agreement": (400, 500),
-                                          "determiner-noun agreement": (100, 200)})
+        report = ev.EvalReport("m", "p", _records({"subject-verb agreement": (400, 500),
+                                                   "determiner-noun agreement": (100, 200)}))
         text = report.to_text()
         lines = text.splitlines()
         assert lines[0].startswith("phenomenon")

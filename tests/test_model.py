@@ -11,7 +11,8 @@ from desklm import model as mdl
 from desklm.subwords import CLS_ID, MARK_ID, PAD_ID, SEP_ID
 
 from helpers import (fd_check_params, reference_decoder_forward,
-                     reference_encoder_forward, zero_params)
+                     reference_encoder_forward, reference_init_params,
+                     reference_param_specs, zero_params)
 
 
 def tiny_config(**kw):
@@ -100,6 +101,24 @@ class TestInit:
         assert not any(n.startswith("dec") for n in p0.names())
         assert "dec.1.cross.wq" in p2
         assert "dec_head.w" in p2
+
+    # encoder only, a 2-layer decoder, and a decoder deeper than the encoder
+    SPEC_CONFIGS = [dict(decoder_layers=0), dict(n_layers=2, decoder_layers=2),
+                    dict(n_layers=1, decoder_layers=3)]
+
+    @pytest.mark.parametrize("kw", SPEC_CONFIGS)
+    def test_specs_match_kind_table(self, kw):
+        cfg = tiny_config(seed=4, **kw)
+        assert mdl._param_specs(cfg) == [(name, shape) for name, _, shape
+                                         in reference_param_specs(cfg)]
+
+    @pytest.mark.parametrize("kw", SPEC_CONFIGS)
+    def test_init_matches_kind_table_bytes(self, kw):
+        cfg = tiny_config(seed=4, **kw)
+        p, ref = mdl.init_params(cfg), reference_init_params(cfg)
+        assert p.names() == list(ref)
+        for name in p.names():
+            assert p[name].data.tobytes() == ref[name].tobytes(), name
 
 
 class TestEncoderForward:

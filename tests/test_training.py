@@ -185,6 +185,13 @@ class TestAdamW:
         np.testing.assert_allclose(p["x"].data, [expect], rtol=1e-12)
         assert state.t == 1
 
+    def test_updates_in_place_and_returns_nothing(self):
+        cfg = tr.TrainingConfig(learning_rate=0.1, warmup_steps=0)
+        x = tr.Tensor(np.array([1.0]), requires_grad=True)
+        p = mdl.ParameterSet(tiny_model(), {"x": x})
+        assert tr.adamw_step(p, {"x": np.array([0.5])}, tr.AdamWState(p), 0.1, cfg) is None
+        assert p["x"] is x and x.data[0] < 1.0
+
     def test_second_step_bias_correction(self):
         cfg = tr.TrainingConfig(learning_rate=0.1, weight_decay=0.0,
                                 warmup_steps=0)
