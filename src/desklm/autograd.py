@@ -66,10 +66,6 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def constant(data) -> Tensor:
-    return Tensor(np.asarray(data, dtype=np.float64))
-
-
 def _make(data: np.ndarray, parents: Sequence[Tensor],
           backward_fn: Callable) -> Tensor:
     req = _GRAD_ENABLED and any(p.requires_grad for p in parents)
@@ -323,11 +319,12 @@ def softmax_masked(scores: Tensor, additive_mask: np.ndarray | None = None) -> T
     return _make(p, (scores,), bwd)
 
 
-def dropout(a: Tensor, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; p = 0 is an exact identity (consumes no randomness)."""
+def dropout(a: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout; p = 0 or no generator is an exact identity that
+    consumes no randomness."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
-    if p == 0.0:
+    if p == 0.0 or rng is None:
         return a
     # a bool mask, an eighth of a float one; x * keep * (1 / (1 - p)) is the
     # same double as x * (keep / (1 - p)), signed zeros included

@@ -89,7 +89,11 @@ def _resolved_config(args: argparse.Namespace) -> dict:
 def cmd_corpus_stats(args) -> int:
     docs = []
     for path in args.paths:
-        docs.extend(cp.load_source(path, args.kind))
+        # without --kind, a document record's own source labels it
+        if args.kind is None and Path(path).suffix == ".jsonl":
+            docs.extend(cp.load_documents(path))
+        else:
+            docs.extend(cp.load_source(path, args.kind or "unconstrained"))
     totals = cp.source_word_totals(docs)
     for source in sorted(totals):
         print(f"{source}: {totals[source]} words")
@@ -281,6 +285,8 @@ def cmd_eval(args) -> int:
         args.seed = 0 if args.seed is None else args.seed
         if args.n < 1:
             raise UsageError("--n must be >= 1")
+        if args.seed < 0:
+            raise UsageError("--seed must be >= 0")
     out = Path(args.out_dir)
     inputs = [Path(args.checkpoint), Path(args.subwords)]
     if args.pairs:
@@ -323,7 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_stats = corpus_sub.add_parser("stats", help="word counts per source")
     p_stats.add_argument("paths", nargs="+")
-    p_stats.add_argument("--kind", default="unconstrained", choices=cp.SOURCE_KINDS)
+    p_stats.add_argument("--kind", choices=cp.SOURCE_KINDS,
+                         help="label every document (default: each record's own source)")
     p_stats.add_argument("--out-dir", default=None)
     p_stats.set_defaults(func=cmd_corpus_stats)
 

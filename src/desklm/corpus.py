@@ -161,6 +161,8 @@ class CorpusManifest:
 
     def __post_init__(self):
         object.__setattr__(self, "entries", tuple(self.entries))
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         allocated = sum(e.budget for e in self.entries)
         if allocated > self.total_budget:
             raise ValueError(
@@ -244,11 +246,12 @@ def flatten_triplets(triplets: Sequence[TripletExample]) -> list[Document]:
 def load_documents(path: str | Path, source: str | None = None) -> list[Document]:
     """Read line-delimited document records {id?, source?, text}.
 
-    `source` overrides the per-record source kind when given.
+    `source` overrides the per-record source kind when given; a record
+    without one is "unconstrained".
     """
     stem = Path(path).stem
     return read_records(path, lambda r, lineno: Document(
-        text=str_field(r, "text"), source=source or str_field(r, "source"),
+        text=str_field(r, "text"), source=source or str_field(r, "source", "unconstrained"),
         id=str_field(r, "id", f"{stem}-{lineno:06d}")), "document")
 
 

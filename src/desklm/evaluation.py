@@ -59,10 +59,6 @@ class EvalReport:
                 self.counts[rec["phenomenon"]] = (c + int(rec["correct"]), t + 1)
         self.skipped = len(self.scores) - self.pair_count
 
-    def accuracy(self, phenomenon: str) -> float:
-        c, t = self.counts[phenomenon]
-        return c / t
-
     @property
     def pair_count(self) -> int:
         return sum(t for _, t in self.counts.values())
@@ -140,13 +136,6 @@ def pseudo_log_likelihood(params: ParameterSet, subwords: SubwordModel,
     return float(logp.sum())
 
 
-def score_pair(params: ParameterSet, subwords: SubwordModel,
-               pair: MinimalPair) -> bool:
-    """True when the grammatical sentence is strictly preferred."""
-    return (pseudo_log_likelihood(params, subwords, pair.good)
-            > pseudo_log_likelihood(params, subwords, pair.bad))
-
-
 def _sentences(pairs: Sequence[MinimalPair]) -> list[str]:
     """Distinct sentences of the pairs, in order of first appearance."""
     return list(dict.fromkeys(s for p in pairs for s in (p.good, p.bad)))
@@ -210,12 +199,7 @@ _TAILS = [
 ]
 _DETERMINERS = [("this", "these"), ("that", "those")]
 
-_KIND_ALIASES = {
-    "subject-verb": SUBJECT_VERB,
-    SUBJECT_VERB: SUBJECT_VERB,
-    "determiner-noun": DETERMINER_NOUN,
-    DETERMINER_NOUN: DETERMINER_NOUN,
-}
+_KINDS = {"subject-verb": SUBJECT_VERB, "determiner-noun": DETERMINER_NOUN}
 
 
 def toy_vocabulary_sentences() -> list[str]:
@@ -241,7 +225,7 @@ def generate_toy_minimal_pairs(kind: str, n: int, seed: int) -> list[MinimalPair
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    phenomenon = _KIND_ALIASES.get(kind)
+    phenomenon = _KINDS.get(kind)
     if phenomenon is None:
         raise ValueError(f"unknown pair kind {kind!r}; "
                          f"expected 'subject-verb' or 'determiner-noun'")

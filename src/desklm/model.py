@@ -53,29 +53,19 @@ class ModelConfig:
             raise ValueError("decoder_layers must be >= 0")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
-class ParameterSet:
-    """Ordered name -> Tensor mapping plus the config that shaped it."""
+class ParameterSet(dict):
+    """Ordered name -> Tensor dict plus the config that shaped it."""
 
     def __init__(self, config: ModelConfig, tensors: dict[str, Tensor]):
+        super().__init__(tensors)
         self.config = config
-        self.tensors = dict(tensors)
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self.tensors[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.tensors
 
     def names(self) -> list[str]:
-        return list(self.tensors)
-
-    def items(self):
-        return self.tensors.items()
-
-    def n_parameters(self) -> int:
-        return sum(t.data.size for t in self.tensors.values())
+        return list(self)
 
 
 def _param_specs(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
@@ -153,12 +143,6 @@ def _attention(p: ParameterSet, prefix: str, x: Tensor, kv: Tensor,
     return ag.add(ag.matmul(ctx, p[f"{prefix}.wo"]), p[f"{prefix}.bo"])
 
 
-def _maybe_dropout(x: Tensor, rate: float, rng) -> Tensor:
-    if rng is None or rate == 0.0:
-        return x
-    return ag.dropout(x, rate, rng)
-
-
 def _check_ids(token_ids: np.ndarray, vocab_size: int) -> np.ndarray:
     ids = np.asarray(token_ids, dtype=np.int64)
     if ids.ndim == 1:
@@ -177,7 +161,7 @@ def _embed(p: ParameterSet, ids: np.ndarray, dropout_rng) -> Tensor:
         raise ValueError(f"sequence length {t} exceeds max_positions {cfg.max_positions}")
     x = ag.add(ag.embedding(p["tok_emb"], ids),
                ag.embedding(p["pos_emb"], np.arange(t)))
-    return _maybe_dropout(x, cfg.dropout, dropout_rng)
+    return ag.dropout(x, cfg.dropout, dropout_rng)
 
 
 def _ffn(p: ParameterSet, prefix: str, x: Tensor) -> Tensor:
@@ -200,7 +184,7 @@ def _stack(p: ParameterSet, prefix: str, ids: np.ndarray, self_mask: np.ndarray,
 
     def residual(x: Tensor, ln: str, sublayer) -> Tensor:
         pre = ag.layer_norm(x, p[f"{ln}.g"], p[f"{ln}.b"])
-        return ag.add(x, _maybe_dropout(sublayer(pre), cfg.dropout, dropout_rng))
+        return ag.add(x, ag.dropout(sublayer(pre), cfg.dropout, dropout_rng))
 
     n_layers = cfg.n_layers if prefix == "enc" else cfg.decoder_layers
     for i in range(n_layers):

@@ -312,9 +312,11 @@ class HTTPCompletionClient:
             body = resp.json()
         except ValueError as e:
             raise CompletionError(f"completion endpoint returned malformed JSON: {e}") from e
-        if "completion" not in body:
-            raise CompletionError("completion endpoint response missing 'completion'")
-        return body["completion"]
+        completion = body.get("completion") if isinstance(body, dict) else None
+        if not isinstance(completion, str):
+            raise CompletionError(f"completion endpoint returned no 'completion' string: "
+                                  f"{body!r:.80}")
+        return completion
 
 
 # ---------------------------------------------------------------------------

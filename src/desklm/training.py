@@ -75,6 +75,8 @@ class TrainingConfig:
             raise ValueError("context_size must be >= 2")
         if self.aux_weight < 0:
             raise ValueError("aux_weight must be non-negative")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -411,10 +413,10 @@ def _train(docs: Sequence[Document], subwords: SubwordModel,
 
     shuffle_rng = rng(_STREAM_SHUFFLE)
     mask_rng = rng(_STREAM_MASK)
-    drop_rng = rng(_STREAM_DROPOUT) if model_cfg.dropout else None
+    drop_rng = rng(_STREAM_DROPOUT)
     if objective:
         aux_batches = _aux_batches(aux_items, cfg.batch_size, rng(_STREAM_AUX_ORDER))
-        aux_drop = rng(_STREAM_AUX_DROPOUT) if model_cfg.dropout else None
+        aux_drop = rng(_STREAM_AUX_DROPOUT)
 
     lam = cfg.aux_weight
     shown = objective or "mlm"

@@ -185,6 +185,13 @@ def reference_pseudo_log_likelihood(params: mdl.ParameterSet, subwords: SubwordM
     return float(logp[np.arange(n), arr].sum())
 
 
+def _maybe_dropout(x: ag.Tensor, rate: float, rng) -> ag.Tensor:
+    """The model's dropout switch before `autograd.dropout` owned it."""
+    if rng is None or rate == 0.0:
+        return x
+    return ag.dropout(x, rate, rng)
+
+
 def reference_encoder_forward(params: ParameterSet, token_ids,
                               attention_mask: np.ndarray | None = None,
                               dropout_rng: np.random.Generator | None = None
@@ -204,13 +211,13 @@ def reference_encoder_forward(params: ParameterSet, token_ids,
     for i in range(cfg.n_layers):
         pre = ag.layer_norm(x, params[f"enc.{i}.ln1.g"], params[f"enc.{i}.ln1.b"])
         a = mdl._attention(params, f"enc.{i}.attn", pre, pre, add_mask)
-        x = ag.add(x, mdl._maybe_dropout(a, cfg.dropout, dropout_rng))
+        x = ag.add(x, _maybe_dropout(a, cfg.dropout, dropout_rng))
         pre = ag.layer_norm(x, params[f"enc.{i}.ln2.g"], params[f"enc.{i}.ln2.b"])
         f = ag.add(ag.matmul(ag.gelu(ag.add(ag.matmul(pre, params[f"enc.{i}.ffn.w1"]),
                                             params[f"enc.{i}.ffn.b1"])),
                              params[f"enc.{i}.ffn.w2"]),
                    params[f"enc.{i}.ffn.b2"])
-        x = ag.add(x, mdl._maybe_dropout(f, cfg.dropout, dropout_rng))
+        x = ag.add(x, _maybe_dropout(f, cfg.dropout, dropout_rng))
     return ag.layer_norm(x, params["enc_ln.g"], params["enc_ln.b"])
 
 
@@ -232,16 +239,16 @@ def reference_decoder_forward(params: ParameterSet, target_ids, memory: ag.Tenso
     for i in range(cfg.decoder_layers):
         pre = ag.layer_norm(x, params[f"dec.{i}.ln1.g"], params[f"dec.{i}.ln1.b"])
         a = mdl._attention(params, f"dec.{i}.attn", pre, pre, causal)
-        x = ag.add(x, mdl._maybe_dropout(a, cfg.dropout, dropout_rng))
+        x = ag.add(x, _maybe_dropout(a, cfg.dropout, dropout_rng))
         pre = ag.layer_norm(x, params[f"dec.{i}.lnc.g"], params[f"dec.{i}.lnc.b"])
         c = mdl._attention(params, f"dec.{i}.cross", pre, memory, cross_mask)
-        x = ag.add(x, mdl._maybe_dropout(c, cfg.dropout, dropout_rng))
+        x = ag.add(x, _maybe_dropout(c, cfg.dropout, dropout_rng))
         pre = ag.layer_norm(x, params[f"dec.{i}.ln2.g"], params[f"dec.{i}.ln2.b"])
         f = ag.add(ag.matmul(ag.gelu(ag.add(ag.matmul(pre, params[f"dec.{i}.ffn.w1"]),
                                             params[f"dec.{i}.ffn.b1"])),
                              params[f"dec.{i}.ffn.w2"]),
                    params[f"dec.{i}.ffn.b2"])
-        x = ag.add(x, mdl._maybe_dropout(f, cfg.dropout, dropout_rng))
+        x = ag.add(x, _maybe_dropout(f, cfg.dropout, dropout_rng))
     x = ag.layer_norm(x, params["dec_ln.g"], params["dec_ln.b"])
     return ag.add(ag.matmul(x, params["dec_head.w"]), params["dec_head.b"])
 
@@ -309,7 +316,7 @@ def reference_init_params(config: ModelConfig) -> dict[str, np.ndarray]:
 def zero_params(config: mdl.ModelConfig) -> mdl.ParameterSet:
     """A model whose every weight is zero: exactly uniform MLM logits."""
     params = mdl.init_params(config)
-    for t in params.tensors.values():
+    for t in params.values():
         t.data[...] = 0.0
     return params
 

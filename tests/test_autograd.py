@@ -11,7 +11,7 @@ from desklm import autograd as ag
 def weighted_sum(t, w):
     """Reduce a tensor to a (1, 1) scalar with fixed weights."""
     flat = ag.reshape(t, (1, -1))
-    return ag.matmul(flat, ag.constant(np.asarray(w).reshape(-1, 1)))
+    return ag.matmul(flat, ag.Tensor(np.asarray(w).reshape(-1, 1)))
 
 
 def gradcheck(build, inputs, eps=1e-6, rel_tol=1e-4, abs_floor=1e-7):
@@ -25,7 +25,7 @@ def gradcheck(build, inputs, eps=1e-6, rel_tol=1e-4, abs_floor=1e-7):
     ag.backward(loss)
 
     def value(arrays):
-        return float(build(*[ag.constant(a) for a in arrays]).data.reshape(()))
+        return float(build(*[ag.Tensor(a) for a in arrays]).data.reshape(()))
 
     for k, x in enumerate(inputs):
         grad = tensors[k].grad
@@ -85,9 +85,9 @@ class TestElementwise:
         assert a.grad.tobytes() == s.tobytes()
 
     def test_gelu_known_values(self):
-        out = ag.gelu(ag.constant([0.0])).data
+        out = ag.gelu(ag.Tensor([0.0])).data
         np.testing.assert_allclose(out, [0.0], atol=1e-12)
-        big = ag.gelu(ag.constant([10.0])).data
+        big = ag.gelu(ag.Tensor([10.0])).data
         np.testing.assert_allclose(big, [10.0], rtol=1e-6)
 
 
@@ -108,7 +108,7 @@ class TestShapes:
         a, b = RNG.normal(size=(3, 2, 4)), RNG.normal(size=(4, 5))
         view = np.swapaxes(a, 0, 1)
         assert not view.flags.c_contiguous
-        out = ag.matmul(ag.constant(view), ag.constant(b))
+        out = ag.matmul(ag.Tensor(view), ag.Tensor(b))
         np.testing.assert_allclose(out.data, view @ b, rtol=1e-12)
         w = RNG.normal(size=30)
         gradcheck(lambda x, y: weighted_sum(ag.matmul(x, y), w), [view, b])
@@ -117,7 +117,7 @@ class TestShapes:
 
     def test_matmul_4d_left_2d_right(self):
         a, b = RNG.normal(size=(2, 3, 2, 4)), RNG.normal(size=(4, 3))
-        out = ag.matmul(ag.constant(a), ag.constant(b))
+        out = ag.matmul(ag.Tensor(a), ag.Tensor(b))
         np.testing.assert_allclose(out.data, a @ b, rtol=1e-12)
         w = RNG.normal(size=36)
         gradcheck(lambda x, y: weighted_sum(ag.matmul(x, y), w), [a, b])
@@ -125,7 +125,7 @@ class TestShapes:
     def test_matmul_misaligned_2d_right_rejected(self):
         for left in ((2, 3, 4), (3, 4)):
             with pytest.raises(ValueError, match="do not align"):
-                ag.matmul(ag.constant(np.ones(left)), ag.constant(np.ones((6, 2))))
+                ag.matmul(ag.Tensor(np.ones(left)), ag.Tensor(np.ones((6, 2))))
 
     def test_swapaxes(self):
         a = RNG.normal(size=(2, 3, 4))
@@ -134,7 +134,7 @@ class TestShapes:
 
     def test_swapaxes_last_two(self):
         a = RNG.normal(size=(2, 3, 4))
-        out = ag.swapaxes(ag.constant(a), -1, -2)
+        out = ag.swapaxes(ag.Tensor(a), -1, -2)
         np.testing.assert_array_equal(out.data, np.swapaxes(a, -1, -2))
         w = RNG.normal(size=24)
         gradcheck(lambda x: weighted_sum(ag.swapaxes(x, -1, -2), w), [a])
@@ -184,7 +184,7 @@ class TestNormalization:
         x = (RNG.normal(size=(5, 3, 14)) * 3 + 2).swapaxes(0, 1)[:, :, ::2]
         gain = RNG.normal(size=(7,)) + 1.0
         bias = RNG.normal(size=(7,))
-        out = ag.layer_norm(ag.constant(x), ag.constant(gain), ag.constant(bias))
+        out = ag.layer_norm(ag.Tensor(x), ag.Tensor(gain), ag.Tensor(bias))
         mu = x.mean(axis=-1, keepdims=True)
         inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
         expect = gain * ((x - mu) * inv) + bias
@@ -195,13 +195,13 @@ class TestNormalization:
         assert "eps" not in inspect.signature(ag.layer_norm).parameters
         assert ag.LN_EPS == 1e-5
         x = np.array([[0.0, 1e-3]])  # variance 2.5e-7, well below the epsilon
-        out = ag.layer_norm(ag.constant(x), ag.constant(np.ones(2)), ag.constant(np.zeros(2)))
+        out = ag.layer_norm(ag.Tensor(x), ag.Tensor(np.ones(2)), ag.Tensor(np.zeros(2)))
         half = 5e-4 / np.sqrt(2.5e-7 + ag.LN_EPS)
         np.testing.assert_allclose(out.data, [[-half, half]], rtol=1e-12)
 
     def test_layer_norm_output_statistics(self):
-        x = ag.constant(RNG.normal(size=(4, 8)) * 3 + 7)
-        out = ag.layer_norm(x, ag.constant(np.ones(8)), ag.constant(np.zeros(8)))
+        x = ag.Tensor(RNG.normal(size=(4, 8)) * 3 + 7)
+        out = ag.layer_norm(x, ag.Tensor(np.ones(8)), ag.Tensor(np.zeros(8)))
         np.testing.assert_allclose(out.data.mean(axis=-1), 0.0, atol=1e-12)
         np.testing.assert_allclose(out.data.std(axis=-1), 1.0, atol=1e-3)
 
@@ -213,7 +213,7 @@ class TestNormalization:
         gradcheck(lambda s: weighted_sum(ag.softmax_masked(s, mask), w), [scores])
 
     def test_softmax_masked_slots_exactly_zero(self):
-        scores = ag.constant(RNG.normal(size=(3, 5)))
+        scores = ag.Tensor(RNG.normal(size=(3, 5)))
         mask = np.zeros((3, 5))
         mask[:, 2] = -1e30
         p = ag.softmax_masked(scores, mask).data
@@ -221,7 +221,7 @@ class TestNormalization:
         np.testing.assert_allclose(p.sum(axis=-1), 1.0, rtol=1e-12)
 
     def test_softmax_no_mask_rows_sum_to_one(self):
-        p = ag.softmax_masked(ag.constant(RNG.normal(size=(4, 6)))).data
+        p = ag.softmax_masked(ag.Tensor(RNG.normal(size=(4, 6)))).data
         np.testing.assert_allclose(p.sum(axis=-1), 1.0, rtol=1e-12)
 
 
@@ -233,8 +233,14 @@ class TestDropout:
         # and no randomness was consumed
         assert rng.random() == np.random.default_rng(0).random()
 
+    def test_no_generator_is_identity_object(self):
+        t = ag.Tensor(RNG.normal(size=(3, 3)), requires_grad=True)
+        before = np.random.get_state()[1].copy()
+        assert ag.dropout(t, 0.5, None) is t
+        assert np.array_equal(np.random.get_state()[1], before)
+
     def test_invalid_rate(self):
-        t = ag.constant(np.ones(3))
+        t = ag.Tensor(np.ones(3))
         rng = np.random.default_rng(0)
         for p in (-0.1, 1.0, 1.5):
             with pytest.raises(ValueError, match="dropout rate"):
@@ -277,7 +283,7 @@ class TestCrossEntropy:
         gradcheck(lambda z: ag.cross_entropy(z, labels), [logits])
 
     def test_uniform_two_way_is_ln2(self):
-        logits = ag.constant(np.zeros((4, 2)))
+        logits = ag.Tensor(np.zeros((4, 2)))
         loss = ag.cross_entropy(logits, np.array([0, 1, 0, 1]))
         np.testing.assert_allclose(loss.data, np.log(2.0), rtol=1e-12)
 
@@ -291,24 +297,24 @@ class TestCrossEntropy:
     def test_ignore_label_is_the_module_constant(self):
         # the tracer and the masking read IGNORE_INDEX; no caller passes another
         assert "ignore_index" not in inspect.signature(ag.cross_entropy).parameters
-        logits = ag.constant(np.zeros((2, 2)))
+        logits = ag.Tensor(np.zeros((2, 2)))
         loss = ag.cross_entropy(logits, np.array([0, ag.IGNORE_INDEX]))
         np.testing.assert_allclose(loss.data, np.log(2.0), rtol=1e-12)
 
     def test_all_ignored(self):
-        logits = ag.constant(np.zeros((2, 3)))
+        logits = ag.Tensor(np.zeros((2, 3)))
         with pytest.raises(ValueError, match="all labels are ignored"):
             ag.cross_entropy(logits, np.full(2, ag.IGNORE_INDEX))
 
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="expects"):
-            ag.cross_entropy(ag.constant(np.zeros((2, 3, 4))), np.zeros(2, dtype=int))
+            ag.cross_entropy(ag.Tensor(np.zeros((2, 3, 4))), np.zeros(2, dtype=int))
         with pytest.raises(ValueError, match="expects"):
-            ag.cross_entropy(ag.constant(np.zeros((2, 3))), np.zeros(3, dtype=int))
+            ag.cross_entropy(ag.Tensor(np.zeros((2, 3))), np.zeros(3, dtype=int))
 
     def test_log_probs(self):
         z = RNG.normal(size=(3, 5))
-        lp = ag.log_probs(ag.constant(z))
+        lp = ag.log_probs(ag.Tensor(z))
         np.testing.assert_allclose(np.exp(lp).sum(axis=-1), 1.0, rtol=1e-12)
         manual = z - np.log(np.exp(z - z.max(-1, keepdims=True)).sum(-1, keepdims=True)) \
             - z.max(-1, keepdims=True)
@@ -333,7 +339,7 @@ class TestGraphMechanics:
             b = ag.Tensor(RNG.normal(size=(4,)), requires_grad=True)
             s = weighted_sum(ag.add(a, b), w)
             # q = sum_i v_i a_i^2
-            q = ag.matmul(ag.matmul(ag.reshape(a, (1, 4)), ag.constant(np.diag(v))),
+            q = ag.matmul(ag.matmul(ag.reshape(a, (1, 4)), ag.Tensor(np.diag(v))),
                           ag.reshape(a, (4, 1)))
             ag.backward(ag.add(s, q) if sum_first else ag.add(q, s))
             np.testing.assert_allclose(b.grad, w, rtol=1e-12)
@@ -369,7 +375,7 @@ class TestGraphMechanics:
 
     def test_constant_root_rejected(self):
         with pytest.raises(ValueError, match="require"):
-            ag.backward(ag.constant(1.0))
+            ag.backward(ag.Tensor(1.0))
 
     def test_no_grad_suppresses_graph(self):
         x = ag.Tensor(np.ones(3), requires_grad=True)
@@ -397,7 +403,7 @@ class TestGraphMechanics:
     def test_float64_everywhere(self):
         t = ag.Tensor(np.ones(3, dtype=np.float32))
         assert t.data.dtype == np.float64
-        assert ag.constant([1, 2]).data.dtype == np.float64
+        assert ag.Tensor([1, 2]).data.dtype == np.float64
 
     def test_randomized_composite_chain(self):
         # reshape -> matmul -> gelu -> layer_norm -> softmax -> reduce

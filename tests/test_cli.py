@@ -7,6 +7,8 @@ models and corpora; nothing here should take more than a few seconds.
 
 from __future__ import annotations
 
+import ast
+import importlib
 import json
 import re
 import shlex
@@ -86,12 +88,16 @@ def test_render_figure_1_without_topic_is_usage_error(capsys):
 
 # -- README examples ------------------------------------------------------------
 
+def _readme_blocks(language: str) -> list[str]:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return re.findall(rf"```{language}\n(.*?)```", readme, re.DOTALL)
+
+
 def _readme_commands() -> list[list[str]]:
     """Every `desklm ...` line of README's sh blocks, continuations joined
     and leading VAR=value assignments dropped."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     commands = []
-    for block in re.findall(r"```sh\n(.*?)```", readme, re.DOTALL):
+    for block in _readme_blocks("sh"):
         for line in block.replace("\\\n", " ").splitlines():
             words = shlex.split(line)
             while words and re.match(r"[A-Za-z_][A-Za-z0-9_]*=", words[0]):
@@ -115,6 +121,32 @@ def test_readme_commands_parse(tmp_path, monkeypatch, capsys):
     for argv in commands:
         code = cli.main(argv)
         assert code != cli.EXIT_USAGE, (argv, capsys.readouterr().err)
+
+
+def _missing_library_names(block: str) -> list[str]:
+    """Every `module.attr` of a Python block, for a module the block
+    imports `from desklm`, that the module does not define."""
+    tree = ast.parse(block)
+    modules = {alias.asname or alias.name: importlib.import_module(f"desklm.{alias.name}")
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "desklm"
+               for alias in node.names}
+    return [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules and not hasattr(modules[node.value.id], node.attr)]
+
+
+def test_readme_library_example_names_only_existing_api():
+    blocks = _readme_blocks("python")
+    assert blocks
+    for block in blocks:
+        assert _missing_library_names(block) == []
+
+
+def test_library_name_check_catches_a_removed_name():
+    block = ("from desklm import evaluation, model\n"
+             "ok = evaluation.score_pair(model.init_params(cfg), sw, pair)\n")
+    assert _missing_library_names(block) == ["evaluation.score_pair"]
 
 
 # -- corpus subcommands ----------------------------------------------------------
@@ -194,6 +226,55 @@ def test_corpus_mix_malformed_manifest_is_data_error_naming_the_file(tmp_path, c
     err = capsys.readouterr().err
     assert f"{manifest}: " in err
     assert "unknown source kind 'novel'" in err
+
+
+def test_corpus_mix_negative_seed_is_data_error_before_the_run_manifest(tmp_path, capsys):
+    plain = tmp_path / "plain.jsonl"
+    _write_documents(plain, ["alpha beta gamma"])
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"total_budget": 10, "seed": -3, "entries": [
+        {"path": str(plain), "kind": "unconstrained", "budget": 5}]}), encoding="utf-8")
+    code = cli.main(["corpus", "mix", "--manifest", str(manifest),
+                     "--out-dir", str(tmp_path / "mixed")])
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{manifest}: malformed manifest: seed must be non-negative" in err
+    assert not (tmp_path / "mixed").exists()
+
+
+def test_corpus_stats_of_a_mix_shows_its_sources(tmp_path, capsys):
+    plain = tmp_path / "plain.jsonl"
+    _write_documents(plain, ["one two three four five", "six seven eight nine ten eleven"])
+    trip = tmp_path / "trip.jsonl"
+    cp.save_triplets(trip, [cp.TripletExample("a b c", "d e f", "g h i j")])
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"total_budget": 30, "entries": [
+        {"path": str(plain), "kind": "unconstrained", "budget": 20},
+        {"path": str(trip), "kind": "triplet", "budget": 10}]}), encoding="utf-8")
+    assert cli.main(["corpus", "mix", "--manifest", str(manifest),
+                     "--out-dir", str(tmp_path / "mixed")]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "triplet: 10 words selected" in out
+    assert "unconstrained: 11 words selected" in out
+
+    mixed = str(tmp_path / "mixed" / "mixed.jsonl")
+    assert cli.main(["corpus", "stats", mixed]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "triplet: 10 words\n" in out
+    assert "unconstrained: 11 words\n" in out
+    # --kind still labels every document
+    assert cli.main(["corpus", "stats", mixed, "--kind", "grammar_gen"]) == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith("grammar_gen: 21 words\n")
+
+
+def test_corpus_stats_record_without_source_is_unconstrained(tmp_path, capsys):
+    docs = tmp_path / "docs.jsonl"
+    docs.write_text('{"text": "a b c"}\n{"source": "triplet", "text": "d e"}\n',
+                    encoding="utf-8")
+    assert cli.main(["corpus", "stats", str(docs)]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "triplet: 2 words\n" in out
+    assert "unconstrained: 3 words\n" in out
 
 
 def test_corpus_flatten_triplets(tmp_path, capsys):
@@ -420,7 +501,7 @@ def test_train_mlm_wikt_strips_decoder(tmp_path, corpus_path):
 
     params = mdl.load_checkpoint(out_dir / cli.CHECKPOINT_NAME)
     assert params.config.decoder_layers == 0
-    assert not any(name.startswith("dec.") for name in params.tensors)
+    assert not any(name.startswith("dec.") for name in params)
 
     with open(out_dir / cli.TRAINLOG_NAME, encoding="utf-8") as f:
         first = json.loads(f.readline())
@@ -446,6 +527,7 @@ def test_decoder_layers_misuse_is_usage_error(tmp_path, corpus_path, capsys, fla
     (["--max-positions", "100", "--context-size", "128"],
      "--max-positions 100 is smaller than --context-size 128"),
     (["--aux-weight", "5"], "--aux-weight is only used with"),
+    (["--seed", "-1"], "seed must be non-negative"),
 ])
 def test_bad_model_or_training_flag_is_usage_error_before_bpe(tmp_path, corpus_path,
                                                              monkeypatch, capsys,
@@ -559,6 +641,7 @@ def test_eval_pairs_file(tmp_path, eval_artifacts):
     (["--pairs", "p.jsonl", "--blimp", "--n", "7"], "--n and --seed shape --toy pairs"),
     (["--toy", "subject-verb", "--blimp"], "--blimp reads a --pairs file only"),
     (["--toy", "subject-verb", "--n", "0"], "--n must be >= 1"),
+    (["--toy", "subject-verb", "--seed", "-1"], "--seed must be >= 0"),
 ])
 def test_eval_flag_misuse_is_usage_error_before_manifest(tmp_path, eval_artifacts,
                                                          monkeypatch, capsys,

@@ -230,6 +230,11 @@ class TestManifest:
         msg = self._load_written(tmp_path, self._manifest_text(budget=11, total=10))
         assert "exceeding total budget 10" in msg
 
+    def test_negative_seed_names_the_file(self, tmp_path):
+        text = json.dumps({**json.loads(self._manifest_text()), "seed": -3})
+        msg = self._load_written(tmp_path, text)
+        assert "seed must be non-negative, got -3" in msg
+
 
 class TestMixing:
     def _docs(self, rng, n, prefix="d"):

@@ -106,17 +106,20 @@ class TestClosedFormModel:
         shifted = ev.pseudo_log_likelihood(params, sub, "x y z")
         assert abs(base - shifted) <= 1e-9
 
-    def test_score_pair_follows_bias(self):
+    def test_verdict_follows_bias(self):
         params, sub, _ = _biased_model_and_vocab()
         # single-token sentences: preference is exactly by bias entry
-        assert ev.score_pair(params, sub, ev.MinimalPair("x", "y", "p"))
-        assert not ev.score_pair(params, sub, ev.MinimalPair("z", "x", "p"))
+        pairs = [ev.MinimalPair("x", "y", "p"), ev.MinimalPair("z", "x", "p")]
+        recs = ev.evaluate_suite(params, sub, pairs).scores
+        assert [r["correct"] for r in recs] == [True, False]
 
     def test_ties_count_as_incorrect(self):
         params, sub, _ = _biased_model_and_vocab()
         params["mlm.b"].data[...] = 0.0
-        assert not ev.score_pair(params, sub, ev.MinimalPair("x", "y", "p"))
-        assert not ev.score_pair(params, sub, ev.MinimalPair("y", "x", "p"))
+        pairs = [ev.MinimalPair("x", "y", "p"), ev.MinimalPair("y", "x", "p")]
+        recs = ev.evaluate_suite(params, sub, pairs).scores
+        assert [r["margin"] for r in recs] == [0.0, 0.0]
+        assert [r["correct"] for r in recs] == [False, False]
 
     def test_evaluate_suite_arithmetic(self):
         params, sub, _ = _biased_model_and_vocab()
@@ -126,7 +129,6 @@ class TestClosedFormModel:
         report = ev.evaluate_suite(params, sub, pairs, model_id="m",
                                    pairs_id="hand")
         assert report.counts == {"p1": (1, 2), "p2": (1, 1)}
-        assert report.accuracy("p1") == 0.5
         assert report.pair_count == 3
         assert abs(report.macro_average - 0.75) <= 1e-12
 
@@ -148,7 +150,8 @@ class TestEvaluateSuite:
         expect: dict[str, list[int]] = {}
         for p in pairs:
             c = expect.setdefault(p.phenomenon, [0, 0])
-            c[0] += int(ev.score_pair(small_params, toy_subwords, p))
+            c[0] += int(ev.pseudo_log_likelihood(small_params, toy_subwords, p.good)
+                        > ev.pseudo_log_likelihood(small_params, toy_subwords, p.bad))
             c[1] += 1
 
         scored: list[str] = []
@@ -261,7 +264,7 @@ class TestPairScores:
             assert r["pll_bad"] == ev.pseudo_log_likelihood(small_params, toy_subwords,
                                                             p.bad)
             assert r["margin"] == r["pll_good"] - r["pll_bad"]
-            assert r["correct"] == ev.score_pair(small_params, toy_subwords, p)
+            assert r["correct"] == (r["pll_good"] > r["pll_bad"])
 
 
 def _records(counts: dict[str, tuple[int, int]], skipped: int = 0) -> list[dict]:
@@ -365,12 +368,14 @@ class TestToyPairs:
             assert (g[0] in plural_dets) == (noun in plural_nouns)
 
     def test_phenomenon_labels_and_aliases(self):
+        # each short kind names one phenomenon label; the labels are not kinds
         p1 = ev.generate_toy_minimal_pairs("subject-verb", 1, seed=0)[0]
         assert p1.phenomenon == ev.SUBJECT_VERB
-        p2 = ev.generate_toy_minimal_pairs(ev.SUBJECT_VERB, 1, seed=0)[0]
-        assert p2 == p1
         p3 = ev.generate_toy_minimal_pairs("determiner-noun", 1, seed=0)[0]
         assert p3.phenomenon == ev.DETERMINER_NOUN
+        for label in (ev.SUBJECT_VERB, ev.DETERMINER_NOUN):
+            with pytest.raises(ValueError, match="unknown pair kind"):
+                ev.generate_toy_minimal_pairs(label, 1, seed=0)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown pair kind"):

@@ -52,6 +52,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="positive"):
             tiny_config(n_layers=0)
 
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            tiny_config(seed=-1)
+
 
 class TestInit:
     def test_deterministic(self):
@@ -86,7 +90,7 @@ class TestInit:
         per_layer = (2 * d) + (4 * d * d + 4 * d) + (2 * d) \
             + (d * ff + ff + ff * d + d)
         expected = v * d + P * d + L * per_layer + 2 * d + (d * v + v)
-        assert p.n_parameters() == expected
+        assert sum(t.data.size for t in p.values()) == expected
 
     def test_encoder_identical_with_and_without_decoder(self):
         enc_only = mdl.init_params(tiny_config(seed=9, decoder_layers=0))
@@ -214,7 +218,7 @@ class TestDecoderForward:
     def _setup(self, rng, s=4, **kw):
         cfg = tiny_config(decoder_layers=2, **kw)
         p = mdl.init_params(cfg)
-        memory = ag.constant(rng.normal(size=(1, s, cfg.d_model)))
+        memory = ag.Tensor(rng.normal(size=(1, s, cfg.d_model)))
         return cfg, p, memory
 
     def test_shapes(self):
@@ -241,7 +245,7 @@ class TestDecoderForward:
         ids = np.array([[CLS_ID, 7, 8]])
         one = mdl.decoder_forward(p, ids, memory).data
         three = mdl.decoder_forward(
-            p, ids, ag.constant(np.repeat(memory.data, 3, axis=1))).data
+            p, ids, ag.Tensor(np.repeat(memory.data, 3, axis=1))).data
         np.testing.assert_allclose(three, one, rtol=1e-12, atol=1e-14)
 
     def test_memory_mask_excludes_slots_exactly(self):
@@ -253,14 +257,14 @@ class TestDecoderForward:
         other = memory.data.copy()
         other[:, 2:] = rng.normal(size=(1, 2, cfg.d_model))
         l1 = mdl.decoder_forward(p, ids, memory, memory_mask=mask).data
-        l2 = mdl.decoder_forward(p, ids, ag.constant(other), memory_mask=mask).data
+        l2 = mdl.decoder_forward(p, ids, ag.Tensor(other), memory_mask=mask).data
         assert np.array_equal(l1, l2)
-        l3 = mdl.decoder_forward(p, ids, ag.constant(other)).data
+        l3 = mdl.decoder_forward(p, ids, ag.Tensor(other)).data
         assert not np.array_equal(l1, l3)
 
     def test_requires_decoder(self):
         p = mdl.init_params(tiny_config(decoder_layers=0))
-        memory = ag.constant(np.zeros((1, 1, 8)))
+        memory = ag.Tensor(np.zeros((1, 1, 8)))
         with pytest.raises(ValueError, match="no decoder"):
             mdl.decoder_forward(p, np.array([[CLS_ID]]), memory)
 
@@ -269,10 +273,10 @@ class TestDecoderForward:
         cfg, p, _ = self._setup(rng)
         with pytest.raises(ValueError, match="memory must be"):
             mdl.decoder_forward(p, np.array([[CLS_ID]]),
-                                ag.constant(np.zeros((1, 8))))
+                                ag.Tensor(np.zeros((1, 8))))
         with pytest.raises(ValueError, match="memory mask"):
             mdl.decoder_forward(p, np.array([[CLS_ID]]),
-                                ag.constant(np.zeros((1, 2, 8))),
+                                ag.Tensor(np.zeros((1, 2, 8))),
                                 memory_mask=np.ones((1, 3), dtype=bool))
 
     def test_overfit_copies_memory_conditioned_sequence(self):
@@ -281,7 +285,7 @@ class TestDecoderForward:
                           d_ff=32, n_heads=2)
         p = mdl.init_params(cfg)
         rng = np.random.default_rng(5)
-        memory = ag.constant(rng.normal(size=(1, 1, cfg.d_model)))
+        memory = ag.Tensor(rng.normal(size=(1, 1, cfg.d_model)))
         target = [7, 9, 8]
         dec_in = np.array([[CLS_ID] + target])
         labels = np.array(target + [SEP_ID])
@@ -384,7 +388,7 @@ class TestGradients:
         loss = ag.cross_entropy(ag.reshape(logits, (2, cfg.vocab_size)),
                                 np.array([7, 8]))
         mdl.backward(p, loss)
-        assert all(t.grad is None for t in p.tensors.values())
+        assert all(t.grad is None for t in p.values())
 
     def test_backward_deterministic(self):
         cfg = tiny_config(n_layers=2)
@@ -466,6 +470,20 @@ class TestStripAndCheckpoint:
             a = mdl.mlm_logits(p, mdl.encoder_forward(p, ids)).data
             b = mdl.mlm_logits(stripped, mdl.encoder_forward(stripped, ids)).data
             assert np.array_equal(a, b)
+
+    def test_parameter_set_is_its_dict_in_checkpoint_order(self, tmp_path):
+        cfg = tiny_config(decoder_layers=1)
+        p = mdl.init_params(cfg)
+        order = [name for name, _ in mdl._param_specs(cfg)]
+        assert list(p) == p.names() == order
+        assert all(p[name] is t for name, t in p.items())
+        assert "tok_emb" in p and "nope" not in p
+        mdl.save_checkpoint(p, tmp_path / "m.bin")
+        loaded = mdl.load_checkpoint(tmp_path / "m.bin")
+        assert loaded.names() == order and loaded.config == cfg
+        stripped = mdl.strip_decoder(p)
+        assert stripped.config == tiny_config(decoder_layers=0)
+        assert stripped.names() == [n for n in order if not n.startswith("dec")]
 
     def test_strip_shrinks_checkpoint(self, tmp_path):
         p = mdl.init_params(tiny_config(decoder_layers=2))

@@ -252,6 +252,15 @@ class TestClients:
             client.complete("p")
         assert len(posts) == 1
 
+    @pytest.mark.parametrize("body", ["has completion inside", 5, {"completion": None},
+                                      {"text": "ok"}])
+    def test_body_without_completion_string_not_retried(self, monkeypatch, body):
+        client, posts, _ = self._http(monkeypatch, [_Reply(200, body)])
+        with pytest.raises(sy.CompletionError,
+                           match="completion endpoint returned no 'completion' string"):
+            client.complete("p")
+        assert len(posts) == 1
+
 
 def _no_sleep(seconds):
     raise AssertionError(f"unexpected sleep of {seconds} s")

@@ -54,6 +54,8 @@ class TestConfigs:
             tr.TrainingConfig(aux_weight=-0.5)
         with pytest.raises(ValueError, match="betas"):
             tr.TrainingConfig(beta2=1.0)
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            tr.TrainingConfig(seed=-1)
 
     def test_masking_defaults(self):
         m = tr.MaskingConfig()
@@ -440,7 +442,7 @@ class TestTrainMLM:
         params, tlog = tr.train_mlm(small_corpus, small_subwords,
                                     tiny_model(vocab_size=80, dropout=0.2),
                                     tiny_training(epochs=1))
-        assert all(np.all(np.isfinite(t.data)) for t in params.tensors.values())
+        assert all(np.all(np.isfinite(t.data)) for t in params.values())
 
 
 class TestWordSpan:
