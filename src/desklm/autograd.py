@@ -76,7 +76,11 @@ def _make(data: np.ndarray, parents: Sequence[Tensor],
 
 
 def backward(root: Tensor) -> None:
-    """Backpropagate from a scalar root through the recorded graph."""
+    """Backpropagate from a scalar root through the recorded graph.
+
+    The sweep frees the graph behind it: afterwards only the leaves hold
+    gradients, and a second sweep through any of its nodes raises.
+    """
     if root.data.size != 1:
         raise ValueError("backward requires a scalar root")
     if not root.requires_grad:
@@ -98,9 +102,23 @@ def backward(root: Tensor) -> None:
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
     root.grad = np.ones_like(root.data)
-    for node in reversed(topo):
-        if node._backward_fn is not None and node.grad is not None:
+    # each node is dropped once its closure has run, so its output, closure
+    # and gradient are freed as the sweep passes; leaves keep their .grad
+    while topo:
+        node = topo.pop()
+        if node._backward_fn is None:
+            continue
+        if node.grad is not None:
             node._backward_fn(node.grad)
+        node.grad = None
+        node._backward_fn = _swept
+        node._parents = ()
+
+
+def _swept(g: np.ndarray) -> None:
+    """The closure of a node a sweep has passed: its graph is gone."""
+    raise ValueError("backward: this graph was already swept; "
+                     "run the forward pass again")
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -140,14 +158,18 @@ def scale(a: Tensor, s: float) -> Tensor:
     return _make(out, (a,), bwd)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     """Batched matrix product with numpy broadcasting on leading axes.
 
     A 2-D right operand (x @ W) is one 2-D GEMM over the flattened leading
-    rows of a, forward and backward alike.
+    rows of a, forward and backward alike, and may take a bias added in
+    place: matmul(x, W, b) has the bits of add(matmul(x, W), b) without
+    the pre-bias array or the add node.
     """
     if b.data.ndim == 2 and a.data.ndim >= 2:
-        return _matmul_rows(a, b)
+        return _matmul_rows(a, b, bias)
+    if bias is not None:
+        raise ValueError("matmul: a bias needs a 2-D right operand")
     out = a.data @ b.data
 
     def bwd(g):
@@ -161,7 +183,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), bwd)
 
 
-def _matmul_rows(a: Tensor, b: Tensor) -> Tensor:
+def _matmul_rows(a: Tensor, b: Tensor, bias: Tensor | None) -> Tensor:
     k, n = b.data.shape
     if a.data.shape[-1] != k:
         # checked here: the flattening reshape alone could misreport it
@@ -169,6 +191,8 @@ def _matmul_rows(a: Tensor, b: Tensor) -> Tensor:
                          "do not align")
     lead = a.data.shape[:-1]
     out = (a.data.reshape(-1, k) @ b.data).reshape(*lead, n)
+    if bias is not None:
+        out += bias.data
 
     def bwd(g):
         g2 = g.reshape(-1, n)
@@ -177,8 +201,11 @@ def _matmul_rows(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             # reshaped again here rather than kept: a copy for a strided a
             b._accumulate(a.data.reshape(-1, k).T @ g2)
+        if bias is not None and bias.requires_grad:
+            # summed over the unflattened g, as add's backward did
+            bias._accumulate(_unbroadcast(g, bias.data.shape))
 
-    return _make(out, (a, b), bwd)
+    return _make(out, (a, b) if bias is None else (a, b, bias), bwd)
 
 
 def swapaxes(a: Tensor, axis1: int, axis2: int) -> Tensor:

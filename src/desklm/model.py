@@ -131,16 +131,16 @@ def _attention(p: ParameterSet, prefix: str, x: Tensor, kv: Tensor,
         # (B, T, d) -> (B, T, H, dh) -> (B, H, T, dh)
         return ag.swapaxes(ag.reshape(y, (bq, t, h, dh)), 1, 2)
 
-    q = to_heads(ag.add(ag.matmul(x, p[f"{prefix}.wq"]), p[f"{prefix}.bq"]), tq)
-    k = to_heads(ag.add(ag.matmul(kv, p[f"{prefix}.wk"]), p[f"{prefix}.bk"]), tk)
-    v = to_heads(ag.add(ag.matmul(kv, p[f"{prefix}.wv"]), p[f"{prefix}.bv"]), tk)
+    q = to_heads(ag.matmul(x, p[f"{prefix}.wq"], p[f"{prefix}.bq"]), tq)
+    k = to_heads(ag.matmul(kv, p[f"{prefix}.wk"], p[f"{prefix}.bk"]), tk)
+    v = to_heads(ag.matmul(kv, p[f"{prefix}.wv"], p[f"{prefix}.bv"]), tk)
 
     scores = ag.scale(ag.matmul(q, ag.swapaxes(k, -1, -2)), 1.0 / math.sqrt(dh))
     probs = ag.softmax_masked(scores, additive_mask)
     ctx = ag.matmul(probs, v)                       # (B, H, Tq, dh)
     ctx = ag.swapaxes(ctx, 1, 2)                    # (B, Tq, H, dh)
     ctx = ag.reshape(ctx, (bq, tq, cfg.d_model))
-    return ag.add(ag.matmul(ctx, p[f"{prefix}.wo"]), p[f"{prefix}.bo"])
+    return ag.matmul(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 
 
 def _check_ids(token_ids: np.ndarray, vocab_size: int) -> np.ndarray:
@@ -166,8 +166,8 @@ def _embed(p: ParameterSet, ids: np.ndarray, dropout_rng) -> Tensor:
 
 def _ffn(p: ParameterSet, prefix: str, x: Tensor) -> Tensor:
     """GELU feed-forward: gelu(x @ w1 + b1) @ w2 + b2."""
-    hid = ag.gelu(ag.add(ag.matmul(x, p[f"{prefix}.w1"]), p[f"{prefix}.b1"]))
-    return ag.add(ag.matmul(hid, p[f"{prefix}.w2"]), p[f"{prefix}.b2"])
+    hid = ag.gelu(ag.matmul(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"]))
+    return ag.matmul(hid, p[f"{prefix}.w2"], p[f"{prefix}.b2"])
 
 
 def _stack(p: ParameterSet, prefix: str, ids: np.ndarray, self_mask: np.ndarray,
@@ -220,7 +220,7 @@ def encoder_forward(params: ParameterSet, token_ids,
 
 def mlm_logits(params: ParameterSet, hidden: Tensor) -> Tensor:
     """Project hidden states to per-position vocabulary logits."""
-    return ag.add(ag.matmul(hidden, params["mlm.w"]), params["mlm.b"])
+    return ag.matmul(hidden, params["mlm.w"], params["mlm.b"])
 
 
 def decoder_forward(params: ParameterSet, target_ids, memory: Tensor,
@@ -250,7 +250,7 @@ def decoder_forward(params: ParameterSet, target_ids, memory: Tensor,
         cross_mask = np.where(memory_mask, 0.0, MASK_VALUE)[:, None, None, :]
 
     x = _stack(params, "dec", ids, causal, dropout_rng, memory, cross_mask)
-    return ag.add(ag.matmul(x, params["dec_head.w"]), params["dec_head.b"])
+    return ag.matmul(x, params["dec_head.w"], params["dec_head.b"])
 
 
 def mark_position(token_ids, token_index: int) -> tuple[list[int], int]:

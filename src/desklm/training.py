@@ -440,7 +440,10 @@ def _train(docs: Sequence[Document], subwords: SubwordModel,
                 losses[objective] = float(aux_loss.data)
                 del aux_loss
                 if lam != 0.0:
-                    grads = {k: grads[k] + lam * g_aux[k] for k in grads}
+                    # in place: each gradient array is this step's own
+                    for k, g in g_aux.items():
+                        g *= lam
+                        grads[k] += g
                 total += lam * losses[objective]
             lr = lr_at(step, cfg, total_steps)
             adamw_step(params, grads, state, lr, cfg)

@@ -22,8 +22,8 @@ from desklm.subwords import (NUM_SPECIALS, SPECIAL_TOKENS, SubwordModel, MASK_ID
                              _word_forms, pack_examples)
 from desklm.training import (_STREAM_AUX_DROPOUT, _STREAM_AUX_ORDER, _STREAM_DROPOUT,
                              _STREAM_MASK, _STREAM_SHUFFLE, AdamWState, AuxItem,
-                             MaskingConfig, TrainingConfig, TrainLog, _aux_step_loss,
-                             _check_schedule, _mlm_step_loss, _run_manifest, adamw_step,
+                             MaskingConfig, TrainingConfig, TrainLog, _check_schedule,
+                             _pad_2d, _run_manifest, adamw_step, apply_mlm_masking,
                              lr_at)
 
 log = logging.getLogger(__name__)
@@ -192,6 +192,30 @@ def _maybe_dropout(x: ag.Tensor, rate: float, rng) -> ag.Tensor:
     return ag.dropout(x, rate, rng)
 
 
+def _unfused_attention(p: ParameterSet, prefix: str, x: ag.Tensor, kv: ag.Tensor,
+                       additive_mask: np.ndarray | None) -> ag.Tensor:
+    """`model._attention` as it was before each bias was folded into its
+    matmul: every projection is add(matmul(x, W), b)."""
+    cfg = p.config
+    h, dh = cfg.n_heads, cfg.d_model // cfg.n_heads
+    bq, tq, _ = x.shape
+    tk = kv.shape[1]
+
+    def project(y: ag.Tensor, t: int, w: str) -> ag.Tensor:
+        y = ag.add(ag.matmul(y, p[f"{prefix}.w{w}"]), p[f"{prefix}.b{w}"])
+        return ag.swapaxes(ag.reshape(y, (bq, t, h, dh)), 1, 2)
+
+    q, k, v = project(x, tq, "q"), project(kv, tk, "k"), project(kv, tk, "v")
+    scores = ag.scale(ag.matmul(q, ag.swapaxes(k, -1, -2)), 1.0 / math.sqrt(dh))
+    ctx = ag.matmul(ag.softmax_masked(scores, additive_mask), v)
+    ctx = ag.reshape(ag.swapaxes(ctx, 1, 2), (bq, tq, cfg.d_model))
+    return ag.add(ag.matmul(ctx, p[f"{prefix}.wo"]), p[f"{prefix}.bo"])
+
+
+def _unfused_head(params: ParameterSet, x: ag.Tensor, head: str) -> ag.Tensor:
+    return ag.add(ag.matmul(x, params[f"{head}.w"]), params[f"{head}.b"])
+
+
 def reference_encoder_forward(params: ParameterSet, token_ids,
                               attention_mask: np.ndarray | None = None,
                               dropout_rng: np.random.Generator | None = None
@@ -210,7 +234,7 @@ def reference_encoder_forward(params: ParameterSet, token_ids,
     x = mdl._embed(params, ids, dropout_rng)
     for i in range(cfg.n_layers):
         pre = ag.layer_norm(x, params[f"enc.{i}.ln1.g"], params[f"enc.{i}.ln1.b"])
-        a = mdl._attention(params, f"enc.{i}.attn", pre, pre, add_mask)
+        a = _unfused_attention(params, f"enc.{i}.attn", pre, pre, add_mask)
         x = ag.add(x, _maybe_dropout(a, cfg.dropout, dropout_rng))
         pre = ag.layer_norm(x, params[f"enc.{i}.ln2.g"], params[f"enc.{i}.ln2.b"])
         f = ag.add(ag.matmul(ag.gelu(ag.add(ag.matmul(pre, params[f"enc.{i}.ffn.w1"]),
@@ -238,10 +262,10 @@ def reference_decoder_forward(params: ParameterSet, target_ids, memory: ag.Tenso
     x = mdl._embed(params, ids, dropout_rng)
     for i in range(cfg.decoder_layers):
         pre = ag.layer_norm(x, params[f"dec.{i}.ln1.g"], params[f"dec.{i}.ln1.b"])
-        a = mdl._attention(params, f"dec.{i}.attn", pre, pre, causal)
+        a = _unfused_attention(params, f"dec.{i}.attn", pre, pre, causal)
         x = ag.add(x, _maybe_dropout(a, cfg.dropout, dropout_rng))
         pre = ag.layer_norm(x, params[f"dec.{i}.lnc.g"], params[f"dec.{i}.lnc.b"])
-        c = mdl._attention(params, f"dec.{i}.cross", pre, memory, cross_mask)
+        c = _unfused_attention(params, f"dec.{i}.cross", pre, memory, cross_mask)
         x = ag.add(x, _maybe_dropout(c, cfg.dropout, dropout_rng))
         pre = ag.layer_norm(x, params[f"dec.{i}.ln2.g"], params[f"dec.{i}.ln2.b"])
         f = ag.add(ag.matmul(ag.gelu(ag.add(ag.matmul(pre, params[f"dec.{i}.ffn.w1"]),
@@ -250,7 +274,40 @@ def reference_decoder_forward(params: ParameterSet, target_ids, memory: ag.Tenso
                    params[f"dec.{i}.ffn.b2"])
         x = ag.add(x, _maybe_dropout(f, cfg.dropout, dropout_rng))
     x = ag.layer_norm(x, params["dec_ln.g"], params["dec_ln.b"])
-    return ag.add(ag.matmul(x, params["dec_head.w"]), params["dec_head.b"])
+    return _unfused_head(params, x, "dec_head")
+
+
+def _reference_mlm_step_loss(params: ParameterSet, batch: np.ndarray,
+                             mcfg: MaskingConfig, mask_rng, dropout_rng) -> ag.Tensor | None:
+    """`training._mlm_step_loss` through the unfused reference encoder and head."""
+    masked, labels = apply_mlm_masking(batch, mcfg, mask_rng, params.config.vocab_size)
+    rows = np.flatnonzero(labels != ag.IGNORE_INDEX)
+    if rows.size == 0:
+        return None
+    hidden = reference_encoder_forward(params, masked, batch != mdl.PAD_ID, dropout_rng)
+    b, t, d = hidden.shape
+    picked = ag.gather_rows(ag.reshape(hidden, (b * t, d)), rows)
+    return ag.cross_entropy(_unfused_head(params, picked, "mlm"), labels.reshape(-1)[rows])
+
+
+def _reference_aux_step_loss(params: ParameterSet, items: list[AuxItem],
+                             dropout_rng) -> ag.Tensor:
+    """`training._aux_step_loss` through the unfused reference encoder and decoder."""
+    enc_ids = _pad_2d([it.enc_ids for it in items], mdl.PAD_ID)
+    enc_mask = enc_ids != mdl.PAD_ID
+    hidden = reference_encoder_forward(params, enc_ids, enc_mask, dropout_rng)
+    if items[0].mem_index is not None:
+        b, t, d = hidden.shape
+        rows = np.arange(b) * t + np.array([it.mem_index for it in items])
+        memory = ag.reshape(ag.gather_rows(ag.reshape(hidden, (b * t, d)), rows), (b, 1, d))
+        mem_mask = None
+    else:
+        memory, mem_mask = hidden, enc_mask
+    dec_in = _pad_2d([it.dec_in for it in items], mdl.PAD_ID)
+    labels = _pad_2d([it.dec_labels for it in items], ag.IGNORE_INDEX)
+    logits = reference_decoder_forward(params, dec_in, memory, mem_mask, dropout_rng)
+    b, t, v = logits.shape
+    return ag.cross_entropy(ag.reshape(logits, (b * t, v)), labels.reshape(-1))
 
 
 def _reference_layer_param_names(prefix: str, cross_attention: bool) -> list[tuple[str, str]]:
@@ -381,7 +438,7 @@ def reference_train_mlm(docs: Sequence[Document], subwords: SubwordModel,
         epoch_losses = []
         for lo in range(0, n, cfg.batch_size):
             batch = packed[order[lo: lo + cfg.batch_size]]
-            loss = _mlm_step_loss(params, batch, mcfg, mask_rng, drop_rng)
+            loss = _reference_mlm_step_loss(params, batch, mcfg, mask_rng, drop_rng)
             if loss is None:
                 continue
             grads = mdl.backward(params, loss)
@@ -460,11 +517,11 @@ def reference_train_multi_objective(docs: Sequence[Document], subwords: SubwordM
         epoch_aux = []
         for lo in range(0, n, cfg.batch_size):
             batch = packed[order[lo: lo + cfg.batch_size]]
-            mlm_loss = _mlm_step_loss(params, batch, mcfg, mask_rng, drop_rng)
+            mlm_loss = _reference_mlm_step_loss(params, batch, mcfg, mask_rng, drop_rng)
             if mlm_loss is None:
                 continue
             g_mlm = mdl.backward(params, mlm_loss)
-            aux_loss = _aux_step_loss(params, next_aux_batch(cfg.batch_size), aux_drop)
+            aux_loss = _reference_aux_step_loss(params, next_aux_batch(cfg.batch_size), aux_drop)
             g_aux = mdl.backward(params, aux_loss)
             if lam == 0.0:
                 grads = g_mlm

@@ -127,6 +127,31 @@ class TestShapes:
             with pytest.raises(ValueError, match="do not align"):
                 ag.matmul(ag.Tensor(np.ones(left)), ag.Tensor(np.ones((6, 2))))
 
+    @pytest.mark.parametrize("lead", [(5,), (2, 3)])
+    def test_matmul_bias_gradcheck(self, lead):
+        x, m, b = RNG.normal(size=(*lead, 4)), RNG.normal(size=(4, 3)), RNG.normal(size=(3,))
+        w = RNG.normal(size=x.size // 4 * 3)
+        gradcheck(lambda x, m, b: weighted_sum(ag.matmul(x, m, b), w), [x, m, b])
+
+    @pytest.mark.parametrize("lead", [(5,), (2, 3)])
+    def test_matmul_bias_bits_match_add_of_matmul(self, lead):
+        arrays = [RNG.normal(size=(*lead, 4)), RNG.normal(size=(4, 3)), RNG.normal(size=(3,))]
+        w = RNG.normal(size=arrays[0].size // 4 * 3)
+
+        def run(fused):
+            x, m, b = (ag.Tensor(a.copy(), requires_grad=True) for a in arrays)
+            out = ag.matmul(x, m, b) if fused else ag.add(ag.matmul(x, m), b)
+            # gelu makes the output gradient differ from element to element
+            ag.backward(weighted_sum(ag.gelu(out), w))
+            return [a.tobytes() for a in (out.data, x.grad, m.grad, b.grad)]
+
+        assert run(True) == run(False)
+
+    def test_matmul_bias_with_batched_right_rejected(self):
+        a, b = ag.Tensor(np.ones((2, 3, 4))), ag.Tensor(np.ones((2, 4, 5)))
+        with pytest.raises(ValueError, match="2-D right operand"):
+            ag.matmul(a, b, ag.Tensor(np.ones(5)))
+
     def test_swapaxes(self):
         a = RNG.normal(size=(2, 3, 4))
         w = RNG.normal(size=24)
@@ -367,6 +392,30 @@ class TestGraphMechanics:
             for q in leaves[i + 1:]:
                 assert not np.shares_memory(p.grad, q.grad)
         gradcheck(build, inputs)
+
+    def test_sweep_frees_the_graph_and_keeps_leaf_gradients(self):
+        x = ag.Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
+        m = ag.Tensor(RNG.normal(size=(3, 3)), requires_grad=True)
+        h = ag.gelu(ag.matmul(x, m))
+        loss = weighted_sum(h, RNG.normal(size=6))
+        ag.backward(loss)
+        for node in (h, loss):
+            assert node.grad is None and node._parents == ()
+        assert x.grad.shape == (2, 3) and m.grad.shape == (3, 3)
+
+    def test_second_sweep_of_a_graph_raises(self):
+        x = ag.Tensor(RNG.normal(size=(2, 3)), requires_grad=True)
+        w = RNG.normal(size=6)
+        h = ag.gelu(x)
+        loss = weighted_sum(h, w)
+        ag.backward(loss)
+        first = x.grad.copy()
+        with pytest.raises(ValueError, match="already swept"):
+            ag.backward(loss)
+        # a new graph over a swept node cannot reach the leaves either
+        with pytest.raises(ValueError, match="already swept"):
+            ag.backward(weighted_sum(h, w))
+        np.testing.assert_array_equal(x.grad, first)
 
     def test_non_scalar_root_rejected(self):
         x = ag.Tensor(np.ones((2, 2)), requires_grad=True)
