@@ -4,7 +4,8 @@ Every artifact-producing invocation writes a run manifest (resolved
 flags, input file hashes, seed, artifact names, tool version) into the
 output directory before long-running work starts, so any run can be
 replayed exactly. Exit codes are stable: 0 success, 1 usage error,
-2 data error, 3 runtime error.
+2 data error, 3 runtime error (a failed completion, or a non-finite loss
+or gradient in training).
 """
 
 from __future__ import annotations
@@ -56,52 +57,38 @@ def _sha256_file(path: Path) -> str:
     return h.hexdigest()
 
 
-def write_run_manifest(out_dir: Path, subcommand: str, config: dict,
-                       inputs: list[Path], seed: int | None,
+def write_run_manifest(args: argparse.Namespace, inputs: list[Path], seed: int | None,
                        artifacts: list[str]) -> Path:
+    """Write the run manifest of a parsed command into its --out-dir, which
+    is returned. The command words and every other parsed flag are recorded."""
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    words = (args.command, getattr(args, "subcommand", None))
     manifest = {
         "tool": "desklm",
         "tool_version": __version__,
-        "subcommand": subcommand,
-        "config": config,
+        "subcommand": " ".join(w for w in words if w),
+        "config": {k: v for k, v in vars(args).items()
+                   if k not in ("func", "command", "subcommand")},
         "input_hashes": {str(p): _sha256_file(p) for p in inputs if p.is_file()},
         "seed": seed,
         "artifacts": sorted(artifacts),
     }
-    path = out_dir / MANIFEST_NAME
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
-    return path
-
-
-def _resolved_config(args: argparse.Namespace) -> dict:
-    cfg = {}
-    for k, v in sorted(vars(args).items()):
-        if k in ("func", "command", "subcommand"):
-            continue
-        cfg[k] = str(v) if isinstance(v, Path) else v
-    return cfg
+    (out_dir / MANIFEST_NAME).write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    return out_dir
 
 
 # -- corpus -------------------------------------------------------------------
 
 def cmd_corpus_stats(args) -> int:
-    docs = []
-    for path in args.paths:
-        # without --kind, a document record's own source labels it
-        if args.kind is None and Path(path).suffix == ".jsonl":
-            docs.extend(cp.load_documents(path))
-        else:
-            docs.extend(cp.load_source(path, args.kind or "unconstrained"))
+    docs = [d for path in args.paths for d in cp.load_source(path, args.kind)]
     totals = cp.source_word_totals(docs)
     for source in sorted(totals):
         print(f"{source}: {totals[source]} words")
     print(f"total: {sum(totals.values())} words in {len(docs)} documents")
     if args.out_dir:
-        out = Path(args.out_dir)
-        write_run_manifest(out, "corpus stats", _resolved_config(args),
-                           [Path(p) for p in args.paths], None, ["stats.json"])
+        out = write_run_manifest(args, [Path(p) for p in args.paths], None, ["stats.json"])
         (out / "stats.json").write_text(
             json.dumps({"per_source": totals, "total_words": sum(totals.values()),
                         "documents": len(docs)}, indent=2, sort_keys=True) + "\n",
@@ -111,10 +98,8 @@ def cmd_corpus_stats(args) -> int:
 
 def cmd_corpus_mix(args) -> int:
     manifest = cp.load_manifest(args.manifest)
-    out = Path(args.out_dir)
     inputs = [Path(args.manifest)] + [Path(e.path) for e in manifest.entries]
-    write_run_manifest(out, "corpus mix", _resolved_config(args), inputs,
-                       manifest.seed, ["mixed.jsonl"])
+    out = write_run_manifest(args, inputs, manifest.seed, ["mixed.jsonl"])
     mixed = cp.mix_from_manifest(manifest)
     cp.save_documents(out / "mixed.jsonl", mixed)
     totals = cp.source_word_totals(mixed)
@@ -127,10 +112,8 @@ def cmd_corpus_mix(args) -> int:
 
 
 def cmd_corpus_flatten(args) -> int:
-    out = Path(args.out_dir)
-    write_run_manifest(out, "corpus flatten-triplets", _resolved_config(args),
-                       [Path(args.input)], None, ["flattened.jsonl"])
-    docs = cp.flatten_triplets(cp.load_triplets(args.input))
+    out = write_run_manifest(args, [Path(args.input)], None, ["flattened.jsonl"])
+    docs = cp.load_source(args.input, "triplet")
     cp.save_documents(out / "flattened.jsonl", docs)
     print(f"wrote {len(docs)} documents from {len(docs) // 3} triplets")
     return EXIT_OK
@@ -175,9 +158,9 @@ def cmd_synth_generate(args) -> int:
     for flag in ("per_notion", "tag_count", "tag_notions"):
         if getattr(args, flag) < 0:
             raise UsageError(f"--{flag.replace('_', '-')} must be >= 0")
-    out = Path(args.out_dir)
-    write_run_manifest(out, "synth generate", _resolved_config(args), [],
-                       None, ["dataset.jsonl"])
+    if args.tag_count > args.per_notion:
+        raise UsageError(f"--tag-count {args.tag_count} exceeds --per-notion {args.per_notion}")
+    out = write_run_manifest(args, [], None, ["dataset.jsonl"])
     examples = sy.generate_notion_dataset(
         client, notions, per_notion=args.per_notion, tag_count=args.tag_count,
         tag_notions=args.tag_notions, chunk_size=args.chunk_size)
@@ -235,14 +218,13 @@ def cmd_train(args) -> int:
     if model_cfg.max_positions < cfg.context_size:
         raise UsageError(f"--max-positions {model_cfg.max_positions} is smaller than "
                          f"--context-size {cfg.context_size}")
-    out = Path(args.out_dir)
     inputs = [Path(args.corpus)]
     if args.mlm_wikt or args.mlm_gram:
         inputs.append(Path(args.mlm_wikt or args.mlm_gram))
     if args.subwords:
         inputs.append(Path(args.subwords))
-    write_run_manifest(out, "train", _resolved_config(args), inputs, args.seed,
-                       [CHECKPOINT_NAME, SUBWORDS_NAME, TRAINLOG_NAME])
+    out = write_run_manifest(args, inputs, args.seed,
+                             [CHECKPOINT_NAME, SUBWORDS_NAME, TRAINLOG_NAME])
 
     docs = cp.load_source(args.corpus, args.kind)
     if args.subwords:
@@ -287,12 +269,11 @@ def cmd_eval(args) -> int:
             raise UsageError("--n must be >= 1")
         if args.seed < 0:
             raise UsageError("--seed must be >= 0")
-    out = Path(args.out_dir)
     inputs = [Path(args.checkpoint), Path(args.subwords)]
     if args.pairs:
         inputs.append(Path(args.pairs))
-    write_run_manifest(out, "eval", _resolved_config(args), inputs, args.seed,
-                       ["report.json", "report.txt", "scores.jsonl"])
+    out = write_run_manifest(args, inputs, args.seed,
+                             ["report.json", "report.txt", "scores.jsonl"])
     params = mdl.load_checkpoint(args.checkpoint)
     subwords = SubwordModel.load(args.subwords)
     if params.config.vocab_size != subwords.vocab_size:
@@ -431,17 +412,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         return args.func(args)
     except UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except sy.CompletionError as e:
-        print(f"runtime error: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
     except (FileNotFoundError, ValueError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA

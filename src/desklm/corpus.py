@@ -425,23 +425,25 @@ def mix_corpora(manifest: CorpusManifest,
     return mixed
 
 
-def load_source(path: str | Path, kind: str) -> list[Document]:
+def load_source(path: str | Path, kind: str | None) -> list[Document]:
     """Load one manifest entry as documents, dispatching on kind and suffix.
 
-    .txt files become paragraph documents of the given kind. For .jsonl,
-    kind "triplet" reads triplet records and flattens them; a grammar-kind
-    file whose first record has a "sentence" field reads generated-sentence
-    records; anything else reads document records.
-    Kind "wiktionary" reads the CSV and renders each entry (headword,
-    definition, examples) as one document.
+    Kind "triplet" reads triplet records, whatever the suffix, and flattens
+    them. Otherwise .txt files become paragraph documents of the given kind.
+    For .jsonl, a grammar-kind file whose first record has a "sentence"
+    field reads generated-sentence records; anything else reads document
+    records. Kind "wiktionary" reads the CSV and renders each entry
+    (headword, definition, examples) as one document.
+    Kind None labels nothing: each document record keeps its own source
+    ("unconstrained" when it has none), and .txt paragraphs are "unconstrained".
     """
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"source file not found: {p}")
-    if p.suffix == ".txt":
-        return load_text_documents(p, kind)
     if kind == "triplet":
         return flatten_triplets(load_triplets(p))
+    if p.suffix == ".txt":
+        return load_text_documents(p, kind or "unconstrained")
     if (kind in ("grammar_gen", "grammar_book") and p.suffix == ".jsonl"
             and "sentence" in _first_record(p, kind)):
         examples = load_grammar_examples(p)

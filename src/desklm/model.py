@@ -280,7 +280,7 @@ def backward(params: ParameterSet, loss: Tensor) -> dict[str, np.ndarray]:
     Clears the stored gradients afterwards so the next step starts clean.
     """
     if not np.all(np.isfinite(loss.data)):
-        raise ValueError("loss is not finite")
+        raise FloatingPointError("loss is not finite")
     ag.backward(loss)
     grads: dict[str, np.ndarray] = {}
     for name, t in params.items():

@@ -333,12 +333,13 @@ def generate_notion_dataset(
     seed: int = 0,
     chunk_size: int = 25,
 ) -> list[GrammarExample]:
-    """Generate sentences per notion, then tag a subset against a notion set.
+    """Generate sentences per notion, tagging a subset against a notion set.
 
     For each notion, generation prompts cycle through the topic list (one
     call per topic, `chunk_size` sentences per call) until `per_notion`
-    sentences have been parsed. The first `tag_count` sentences of the first
-    `tag_notions` notions are then tagged against all of those notions.
+    sentences have been parsed. If the notion is among the first
+    `tag_notions`, its first `tag_count` sentences are then tagged against
+    all of those notions before the next notion is generated.
     Unparseable responses are skipped with a log line; client failures are
     raised (the live client retries its own requests first).
     """
@@ -350,41 +351,36 @@ def generate_notion_dataset(
             raise ValueError(f"{name} must be >= 0, got {count}")
     if tag_count > per_notion:
         raise ValueError(f"tag_count {tag_count} exceeds per_notion {per_notion}")
-    tag_notions = min(tag_notions, len(notions))
     names = [s.notion for s in notions]
     if len(set(names)) != len(names):
         raise ValueError("notion list contains duplicates")
     del seed  # selection is prefix-based and generation is already deterministic
 
-    collected: list[list[tuple[str, str]]] = []
-    for spec in notions:
+    tag_set = notions[:tag_notions]
+    max_calls = max(1, -(-per_notion // chunk_size)) * 10
+    examples: list[GrammarExample] = []
+    for ni, spec in enumerate(notions):
         sentences: list[tuple[str, str]] = []
-        call_index = 0
-        max_calls = max(1, -(-per_notion // chunk_size)) * 10
-        while len(sentences) < per_notion:
-            if call_index >= max_calls:
-                raise CompletionError(
-                    f"notion {spec.notion!r}: only {len(sentences)}/{per_notion} "
-                    f"sentences after {call_index} calls"
-                )
+        for call_index in range(max_calls):
+            if len(sentences) == per_notion:
+                break
             topic = topics.topics[call_index % len(topics.topics)]
             want = min(chunk_size, per_notion - len(sentences))
             prompt = render_generation_prompt(spec, topic, count=want)
             response = client.complete(prompt)
-            call_index += 1
             try:
                 items = parse_numbered_list(response, want)
             except ValueError as e:
                 log.warning("notion %r, topic %r: unparseable generation response (%s)",
                             spec.notion, topic, e)
                 continue
-            sentences.extend((item, topic) for item in items[:want])
-        collected.append(sentences)
-
-    tag_set = list(notions[:tag_notions])
-    examples: list[GrammarExample] = []
-    for ni, spec in enumerate(notions):
-        for si, (sentence, topic) in enumerate(collected[ni]):
+            sentences.extend((item, topic) for item in items)
+        if len(sentences) < per_notion:
+            raise CompletionError(
+                f"notion {spec.notion!r}: only {len(sentences)}/{per_notion} "
+                f"sentences after {max_calls} calls"
+            )
+        for si, (sentence, topic) in enumerate(sentences):
             tags: list[NotionTag] = []
             if ni < tag_notions and si < tag_count:
                 for tspec in tag_set:

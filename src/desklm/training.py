@@ -170,7 +170,7 @@ def adamw_step(params: ParameterSet, grads: dict[str, np.ndarray],
     """
     for g in grads.values():
         if not np.all(np.isfinite(g)):
-            raise ValueError("non-finite gradient")
+            raise FloatingPointError("non-finite gradient")
     state.t += 1
     bc1 = 1.0 - cfg.beta1 ** state.t
     bc2 = 1.0 - cfg.beta2 ** state.t

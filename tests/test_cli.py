@@ -14,6 +14,7 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from desklm import cli
@@ -369,6 +370,7 @@ def test_synth_generate_num_notions_bounds(tmp_path, capsys):
     (["--tag-count", "-3"], "--tag-count must be >= 0"),
     (["--tag-notions", "-1"], "--tag-notions must be >= 0"),
     (["--retries", "0"], "unrecognized arguments: --retries"),
+    (["--per-notion", "2", "--tag-count", "5"], "--tag-count 5 exceeds --per-notion 2"),
 ])
 def test_synth_generate_bad_count_is_usage_error(tmp_path, capsys, flags, message):
     code = cli.main(["synth", "generate", "--mock", str(tmp_path),
@@ -483,6 +485,22 @@ def test_train_default_warmup_on_tiny_corpus_is_data_error(tmp_path, corpus_path
                     + TINY_MODEL_FLAGS)
     assert code == cli.EXIT_DATA
     assert "must exceed warmup_steps (4000)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--epochs", "5", "--learning-rate", "1e6"], "non-finite gradient"),
+    (["--epochs", "2", "--learning-rate", "1e300"], "loss is not finite"),
+])
+def test_diverged_training_is_runtime_error(tmp_path, corpus_path, capsys, flags, message):
+    # with NumPy's overflow warnings on, the warnings filter would raise
+    # before the loss or gradient check saw a non-finite value
+    with np.errstate(all="ignore"):
+        code = cli.main(["train", "--mlm", "--corpus", str(corpus_path),
+                         "--out-dir", str(tmp_path / "o"), "--warmup-steps", "1"]
+                        + TINY_MODEL_FLAGS + flags)
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_RUNTIME, err
+    assert f"runtime error: {message}" in err
 
 
 def test_train_mlm_wikt_strips_decoder(tmp_path, corpus_path):
@@ -724,6 +742,53 @@ def test_eval_every_pair_over_length_is_data_error(tmp_path, eval_artifacts, cap
     assert "longer than the model's 64 positions" in capsys.readouterr().err
 
 
+# -- run manifests ----------------------------------------------------------------
+
+def _manifest_run_flags(command: str, tmp_path: Path, corpus_path: Path,
+                        art: Path) -> list[str]:
+    """Flags for a small successful run of `command`, after writing its inputs."""
+    if command == "corpus stats":
+        return [str(corpus_path)]
+    if command == "corpus mix":
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"total_budget": 30, "entries": [
+            {"path": str(corpus_path), "kind": "unconstrained", "budget": 30}]}),
+            encoding="utf-8")
+        return ["--manifest", str(manifest)]
+    if command == "corpus flatten-triplets":
+        trip = tmp_path / "trip.jsonl"
+        cp.save_triplets(trip, [cp.TripletExample("a b", "c d", "e f")])
+        return ["--input", str(trip)]
+    if command == "synth generate":
+        _canned_default_notion(tmp_path, per_notion=2, chunk=2, tag_count=1)
+        return ["--mock", str(tmp_path), "--num-notions", "1", "--per-notion", "2",
+                "--chunk-size", "2", "--tag-count", "1", "--tag-notions", "1"]
+    if command == "train":
+        return ["--mlm", "--corpus", str(corpus_path)] + TRAIN_FLAGS
+    return ["--checkpoint", str(art / cli.CHECKPOINT_NAME),
+            "--subwords", str(art / cli.SUBWORDS_NAME), "--toy", "subject-verb", "--n", "2"]
+
+
+@pytest.mark.parametrize("command", ["corpus stats", "corpus mix", "corpus flatten-triplets",
+                                     "synth generate", "train", "eval"])
+def test_run_manifest_records_the_parsed_command(command, tmp_path, corpus_path,
+                                                 eval_artifacts, capsys):
+    out = tmp_path / "out"
+    argv = (command.split() + _manifest_run_flags(command, tmp_path, corpus_path,
+                                                  eval_artifacts)
+            + ["--out-dir", str(out)])
+    assert cli.main(argv) == cli.EXIT_OK, capsys.readouterr().err
+    run = json.loads((out / cli.MANIFEST_NAME).read_text("utf-8"))
+    assert run["subcommand"] == command
+    assert not {"func", "command", "subcommand"} & run["config"].keys()
+    parsed = {k: v for k, v in vars(cli.build_parser().parse_args(argv)).items()
+              if k not in ("func", "command", "subcommand")}
+    assert run["config"].keys() == parsed.keys()
+    # a flag parsed as None may be filled in by the command (--vocab-size, --n, --seed)
+    assert {k: run["config"][k] for k, v in parsed.items() if v is not None} == {
+        k: v for k, v in parsed.items() if v is not None}
+
+
 # -- one error path for malformed records ---------------------------------------
 
 _DOC = '{"id": "d1", "source": "unconstrained", "text": "a b c"}'
@@ -749,6 +814,9 @@ BAD_INPUTS = {
     "triplets": ("trip.jsonl", ['{"sent0": 5, "sent1": "b c", "hard_neg": "d e"}'], 1,
                  lambda bad, corpus, art, out: ["corpus", "flatten-triplets",
                                                 "--input", bad, "--out-dir", out]),
+    "triplets-txt": ("trip.txt", ["a b", "", "c d"], 1,
+                     lambda bad, corpus, art, out: ["corpus", "flatten-triplets",
+                                                    "--input", bad, "--out-dir", out]),
     "grammar": ("gram.jsonl", ['{"sentence": "a b", "topic": "t", "tags": []}',
                                '{"sentence": "a b", "topic": "t", "tags": [5]}'], 2,
                 lambda bad, corpus, art, out: ["train", "--mlm-gram", bad, "--corpus", corpus,

@@ -322,6 +322,12 @@ class TestLoadSource:
         docs = cp.load_source(path, "triplet")
         assert len(docs) == 3 and docs[0].source == "triplet"
 
+    def test_triplet_kind_reads_triplet_records_only(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("a b\n\nc d\n\ne f\n")
+        with pytest.raises(ValueError, match="line 1: bad triplet record"):
+            cp.load_source(path, "triplet")
+
     def test_grammar_jsonl(self, tmp_path):
         path = tmp_path / "g.jsonl"
         cp.save_grammar_examples(path, [cp.GrammarExample(sentence="a b c", topic="t")])
@@ -356,6 +362,15 @@ class TestLoadSource:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="nope.jsonl"):
             cp.load_source(tmp_path / "nope.jsonl", "unconstrained")
+
+    def test_no_kind_keeps_each_record_source(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"text": "a b"}\n{"source": "triplet", "text": "c d"}\n')
+        docs = cp.load_source(path, None)
+        assert [d.source for d in docs] == ["unconstrained", "triplet"]
+        text = tmp_path / "d.txt"
+        text.write_text("first paragraph\n\nsecond\n")
+        assert [d.source for d in cp.load_source(text, None)] == ["unconstrained"] * 2
 
 
 def test_source_word_totals():

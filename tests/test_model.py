@@ -408,7 +408,7 @@ class TestGradients:
     def test_non_finite_loss_rejected(self):
         p = mdl.init_params(tiny_config())
         bad = ag.Tensor(np.array(np.inf), requires_grad=True)
-        with pytest.raises(ValueError, match="not finite"):
+        with pytest.raises(FloatingPointError, match="not finite"):
             mdl.backward(p, bad)
 
     def test_overfit_single_masked_example(self):

@@ -386,6 +386,23 @@ class TestGenerateNotionDataset:
                                        sy.TopicList(("a",)), **counts)
         assert client.calls == 0
 
+    @pytest.mark.parametrize("per_notion, chunk_size, max_calls", [(7, 3, 30), (2, 5, 10)])
+    def test_gives_up_after_ten_calls_per_chunk(self, per_notion, chunk_size, max_calls):
+        class Unparseable:
+            calls = 0
+
+            def complete(self, prompt):
+                self.calls += 1
+                return "no list here"
+
+        client = Unparseable()
+        with pytest.raises(sy.CompletionError,
+                           match=f"only 0/{per_notion} sentences after {max_calls} calls"):
+            sy.generate_notion_dataset(client, [sy.NotionSpec("x"), sy.NotionSpec("y")],
+                                       sy.TopicList(("a", "b")), per_notion=per_notion,
+                                       tag_count=0, chunk_size=chunk_size)
+        assert client.calls == max_calls
+
     def test_tag_parse_failure_skipped(self, tmp_path, caplog):
         notions = [sy.NotionSpec("adjunct clause", sentential=True)]
         topics = sy.TopicList(("physics",))

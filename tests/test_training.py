@@ -237,7 +237,7 @@ class TestAdamW:
         cfg = tr.TrainingConfig()
         w = tr.Tensor(np.ones(2), requires_grad=True)
         p = mdl.ParameterSet(tiny_model(), {"w": w})
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(FloatingPointError, match="non-finite"):
             tr.adamw_step(p, {"w": np.array([1.0, np.nan])},
                           tr.AdamWState(p), 0.1, cfg)
 
@@ -249,7 +249,7 @@ class TestAdamW:
             "a": tr.Tensor(np.ones((2, 2)), requires_grad=True),
             "b": tr.Tensor(np.ones(2), requires_grad=True)})
         state = tr.AdamWState(p)
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(FloatingPointError, match="non-finite"):
             tr.adamw_step(p, {"a": np.ones((2, 2)), "b": np.array([np.inf, 1.0])},
                           state, 0.1, cfg)
         assert state.t == 0
