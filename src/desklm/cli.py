@@ -5,7 +5,9 @@ flags, input file hashes, seed, artifact names, tool version) into the
 output directory before long-running work starts, so any run can be
 replayed exactly. Exit codes are stable: 0 success, 1 usage error,
 2 data error, 3 runtime error (a failed completion, or a non-finite loss
-or gradient in training).
+or gradient in training). A missing, malformed, non-UTF-8, unreadable or
+directory input is a data error, "<path>: [line <n>: ]bad <format>: <reason>"
+(CSV faults count file lines).
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _sha256_file(path: Path) -> str:
     h = hashlib.sha256()
-    with open(path, "rb") as f:
+    with cp.reading(path, "input"), open(path, "rb") as f:
         for chunk in iter(lambda: f.read(65536), b""):
             h.update(chunk)
     return h.hexdigest()

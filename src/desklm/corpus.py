@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import logging
+from contextlib import AbstractContextManager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -174,11 +176,13 @@ class CorpusManifest:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def str_field(record: dict, name: str, default: str | None = None) -> str:
-    """The string field `name` of a record, required when `default` is None."""
+def str_field(record: dict, name: str, default: str | int | None = None, kind: type = str):
+    """The field `name` of a record, a string or, with `kind` int, an integer
+    that is not a bool; required when `default` is None."""
     value = record[name] if default is None else record.get(name, default)
-    if not isinstance(value, str):
-        raise TypeError(f"field {name!r} must be a string, got {type(value).__name__}")
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        noun = "a string" if kind is str else "an integer"
+        raise TypeError(f"field {name!r} must be {noun}, got {type(value).__name__}")
     return value
 
 
@@ -187,30 +191,47 @@ def _reason(e: Exception) -> str:
         return f"missing field {e.args[0]!r}"
     if isinstance(e, json.JSONDecodeError):
         return f"malformed JSON: {e.msg} at column {e.colno}"
+    if isinstance(e, OSError):
+        return e.strerror or str(e)
     return str(e)
 
 
+class reading(AbstractContextManager):
+    """Fault boundary of one input file, entered once per file: a KeyError,
+    TypeError, ValueError, csv.Error or OSError (bar FileNotFoundError) raised
+    inside becomes ValueError "<path>: [line <n>: ]bad <what>: <reason>".
+    Readers set `.line`; a whole-file JSON document is named by its own line."""
+
+    _FAULTS = (KeyError, TypeError, ValueError, csv.Error, OSError)
+
+    def __init__(self, path: str | Path, what: str):
+        self.path = path
+        self.what = what
+        self.line: int | None = None
+
+    def __exit__(self, kind, e, tb) -> None:
+        if isinstance(e, self._FAULTS) and not isinstance(e, FileNotFoundError):
+            line = self.line
+            if line is None and isinstance(e, json.JSONDecodeError):
+                line = e.lineno
+            at = "" if line is None else f"line {line}: "
+            raise ValueError(f"{self.path}: {at}bad {self.what}: {_reason(e)}") from e
+
+
 def _records(path: str | Path, build: Callable[[dict, int], object], what: str) -> Iterator:
-    with open(path, "rb") as f:  # bytes, so a bad encoding is reported by line too
-        for lineno, line in enumerate(f, start=1):
+    with reading(path, f"{what} record") as at, open(path, "rb") as f:
+        for at.line, line in enumerate(f, start=1):
             if not line.strip():
                 continue
-            try:
-                record = json.loads(line.decode("utf-8"))
-                if not isinstance(record, dict):
-                    raise TypeError(f"expected a JSON object, got {type(record).__name__}")
-                item = build(record, lineno)
-            except (KeyError, TypeError, ValueError) as e:
-                raise ValueError(f"{path}: line {lineno}: bad {what} record: {_reason(e)}") from e
-            yield item
+            record = json.loads(line.decode("utf-8"))  # per line, so a bad byte names its line
+            if not isinstance(record, dict):
+                raise TypeError(f"expected a JSON object, got {type(record).__name__}")
+            yield build(record, at.line)
 
 
 def read_records(path: str | Path, build: Callable[[dict, int], object], what: str) -> list:
-    """`build(record, line number)` for each non-blank line of a JSONL file.
-
-    A line that is not a JSON object, or whose build raises KeyError,
-    TypeError or ValueError, raises ValueError naming the file and line.
-    """
+    """`build(record, line number)` for each non-blank line of a JSONL file,
+    inside `reading`; a line must hold a JSON object."""
     return list(_records(path, build, what))
 
 
@@ -264,7 +285,8 @@ def save_documents(path: str | Path, docs: Iterable[Document]) -> None:
 
 def load_text_documents(path: str | Path, source: str) -> list[Document]:
     """Split a plain-text file into paragraph documents (blank-line separated)."""
-    raw = Path(path).read_text(encoding="utf-8")
+    with reading(path, "text file"):
+        raw = Path(path).read_text(encoding="utf-8")
     stem = Path(path).stem
     docs = []
     for k, block in enumerate(raw.split("\n\n")):
@@ -282,37 +304,31 @@ _WIKT_HEADER = ["word", "pos", "definition"] + [
 def parse_wiktionary_csv(path: str | Path) -> list[WiktionaryEntry]:
     """Read dictionary rows: word, pos, definition, example_1..example_13.
 
-    Empty example cells are dropped; row order is preserved. Any invalid row
-    raises with its index rather than producing a partial entry.
+    Empty example cells are dropped; row order is preserved. An invalid row
+    raises naming the file line it starts on, never a partial entry.
     """
     entries = []
-    with open(path, encoding="utf-8", newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: missing header row") from None
+    with reading(path, "dictionary CSV") as at, open(path, encoding="utf-8", newline="") as f:
+        # decoded whole, so a bad byte is not blamed on a row; strict, so an open quote raises
+        reader = csv.reader(io.StringIO(f.read(), newline=""), strict=True)
+        at.line = 1
+        header = next(reader, [])
         if header[:3] != _WIKT_HEADER[:3] or len(header) > len(_WIKT_HEADER):
-            raise ValueError(
-                f"{path}: bad header, expected word, pos, definition, "
-                f"example_1 .. example_{MAX_WIKTIONARY_EXAMPLES}"
-            )
-        for idx, row in enumerate(reader, start=1):
+            raise ValueError("expected the header word, pos, definition, "
+                             f"example_1 .. example_{MAX_WIKTIONARY_EXAMPLES}")
+        while True:
+            at.line = reader.line_num + 1
+            row = next(reader, None)
+            if row is None:
+                break
             if not row:
                 continue
-            if len(row) > len(_WIKT_HEADER):
-                raise ValueError(
-                    f"{path}: row {idx}: {len(row) - 3} example cells exceeds "
-                    f"{MAX_WIKTIONARY_EXAMPLES}"
-                )
-            if len(row) < 3:
-                raise ValueError(f"{path}: row {idx}: expected at least 3 cells, got {len(row)}")
+            if not 3 <= len(row) <= len(_WIKT_HEADER):
+                raise ValueError(f"expected 3 to {len(_WIKT_HEADER)} cells (word, pos, "
+                                 f"definition, examples), got {len(row)}")
             word, pos, definition = row[0], row[1], row[2]
             examples = tuple(cell.strip() for cell in row[3:] if cell.strip())
-            try:
-                entries.append(WiktionaryEntry(word, pos, definition, examples))
-            except ValueError as e:
-                raise ValueError(f"{path}: row {idx}: {e}") from e
+            entries.append(WiktionaryEntry(word, pos, definition, examples))
     return entries
 
 
@@ -354,16 +370,13 @@ def load_grammar_examples(path: str | Path) -> list[GrammarExample]:
 
 
 def load_manifest(path: str | Path) -> CorpusManifest:
-    with open(path, encoding="utf-8") as f:
-        try:
-            obj = json.load(f)
-            entries = tuple(ManifestEntry(str_field(e, "path"), str_field(e, "kind"),
-                                          int(e["budget"])) for e in obj["entries"])
-            return CorpusManifest(entries=entries, total_budget=int(obj["total_budget"]),
-                                  seed=int(obj.get("seed", 0)))
-        except (KeyError, TypeError, ValueError) as e:
-            # ValueError covers bad JSON, non-integer numbers and invalid entries
-            raise ValueError(f"{path}: malformed manifest: {e}") from e
+    with reading(path, "manifest"), open(path, encoding="utf-8") as f:
+        obj = json.load(f)
+        entries = tuple(ManifestEntry(str_field(e, "path"), str_field(e, "kind"),
+                                      str_field(e, "budget", kind=int)) for e in obj["entries"])
+        return CorpusManifest(entries=entries,
+                              total_budget=str_field(obj, "total_budget", kind=int),
+                              seed=str_field(obj, "seed", 0, int))
 
 
 def save_manifest(path: str | Path, manifest: CorpusManifest) -> None:
@@ -438,8 +451,6 @@ def load_source(path: str | Path, kind: str | None) -> list[Document]:
     ("unconstrained" when it has none), and .txt paragraphs are "unconstrained".
     """
     p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(f"source file not found: {p}")
     if kind == "triplet":
         return flatten_triplets(load_triplets(p))
     if p.suffix == ".txt":

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
+from .corpus import reading
 from .subwords import PAD_ID, MARK_ID, NUM_SPECIALS
 
 MASK_VALUE = -1e30
@@ -323,43 +324,34 @@ def load_checkpoint(path: str | Path) -> ParameterSet:
     names and shapes the header's config implies, or when the tensor
     section is truncated or followed by trailing bytes.
     """
-    blob = Path(path).read_bytes()
-    if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a model checkpoint (bad magic)")
-    off = len(CHECKPOINT_MAGIC)
-    if len(blob) < off + 4:
-        raise ValueError(f"{path}: truncated checkpoint header")
-    (hlen,) = struct.unpack_from("<I", blob, off)
-    off += 4
-    if len(blob) < off + hlen:
-        raise ValueError(f"{path}: truncated checkpoint header")
-    try:
+    with reading(path, "checkpoint"):
+        blob = Path(path).read_bytes()
+        if blob[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+            raise ValueError("not a model checkpoint (bad magic)")
+        off = len(CHECKPOINT_MAGIC)
+        if len(blob) < off + 4:
+            raise ValueError("truncated checkpoint header")
+        (hlen,) = struct.unpack_from("<I", blob, off)
+        off += 4
+        if len(blob) < off + hlen:
+            raise ValueError("truncated checkpoint header")
         header = json.loads(blob[off: off + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise ValueError(f"{path}: malformed checkpoint header: {e}") from e
-    off += hlen
-    if not isinstance(header, dict) or header.get("format_version") != CHECKPOINT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version")
-    try:
+        off += hlen
+        if not isinstance(header, dict) or header.get("format_version") != CHECKPOINT_VERSION:
+            raise ValueError("unsupported checkpoint version")
         config = ModelConfig(**header["config"])
         listed = {name: tuple(shape) for name, shape in header["tensors"]}
-    except (KeyError, TypeError, ValueError) as e:
-        raise ValueError(f"{path}: malformed checkpoint header: {e!r}") from e
-    expected = dict(_param_specs(config))
-    if len(listed) != len(header["tensors"]) or listed != expected:
-        wrong = sorted(n for n in listed.keys() | expected.keys()
-                       if listed.get(n) != expected.get(n))
-        raise ValueError(
-            f"{path}: tensors do not match the config; mismatched names: {wrong[:5]}"
-        )
-    sizes = [math.prod(shape) for shape in listed.values()]
-    data_bytes = 4 * sum(sizes)
-    if len(blob) - off != data_bytes:
-        what = "truncated tensor data" if len(blob) - off < data_bytes else "trailing bytes"
-        raise ValueError(
-            f"{path}: {what}: {len(blob) - off} bytes after the header, "
-            f"expected {data_bytes}"
-        )
+        expected = dict(_param_specs(config))
+        if len(listed) != len(header["tensors"]) or listed != expected:
+            wrong = sorted(n for n in listed.keys() | expected.keys()
+                           if listed.get(n) != expected.get(n))
+            raise ValueError(f"tensors do not match the config; mismatched names: {wrong[:5]}")
+        sizes = [math.prod(shape) for shape in listed.values()]
+        data_bytes = 4 * sum(sizes)
+        if len(blob) - off != data_bytes:
+            what = "truncated tensor data" if len(blob) - off < data_bytes else "trailing bytes"
+            raise ValueError(f"{what}: {len(blob) - off} bytes after the header, "
+                             f"expected {data_bytes}")
     tensors: dict[str, Tensor] = {}
     for (name, shape), n in zip(listed.items(), sizes):
         arr = np.frombuffer(blob, dtype="<f4", count=n, offset=off).astype(np.float64)

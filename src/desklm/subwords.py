@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Document
+from .corpus import Document, reading
 
 SPECIAL_TOKENS = ("<pad>", "<unk>", "<cls>", "<sep>", "<mask>", "<mark>")
 PAD_ID, UNK_ID, CLS_ID, SEP_ID, MASK_ID, MARK_ID = range(6)
@@ -109,16 +109,12 @@ class SubwordModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "SubwordModel":
-        with open(path, encoding="utf-8") as f:
-            try:
-                obj = json.load(f)
-                if (not isinstance(obj, dict) or obj.get("kind") != "bpe-subwords"
-                        or obj.get("format_version") != FORMAT_VERSION):
-                    raise ValueError(f"not a version-{FORMAT_VERSION} bpe-subwords object")
-                return cls(obj["vocab"], obj["merges"])
-            except (KeyError, TypeError, ValueError) as e:
-                reason = f"missing field {e}" if isinstance(e, KeyError) else e
-                raise ValueError(f"{path}: bad subword model file: {reason}") from e
+        with reading(path, "subword model file"), open(path, encoding="utf-8") as f:
+            obj = json.load(f)
+            if (not isinstance(obj, dict) or obj.get("kind") != "bpe-subwords"
+                    or obj.get("format_version") != FORMAT_VERSION):
+                raise ValueError(f"not a version-{FORMAT_VERSION} bpe-subwords object")
+            return cls(obj["vocab"], obj["merges"])
 
 
 def _word_forms(corpus: Iterable[Document]) -> Counter:

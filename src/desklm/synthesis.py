@@ -25,6 +25,7 @@ from .corpus import (
     GrammarExample,
     NotionTag,
     WiktionaryEntry,
+    reading,
 )
 
 log = logging.getLogger(__name__)
@@ -255,7 +256,8 @@ class MockCompletionClient:
         path = self._directory / f"{key}.txt"
         if not path.exists():
             raise CompletionError(f"no canned response for prompt key {key}")
-        return path.read_text(encoding="utf-8")
+        with reading(path, "canned response"):
+            return path.read_text(encoding="utf-8")
 
 
 def write_canned_response(directory: str | Path, prompt: str, response: str) -> Path:

@@ -27,7 +27,7 @@ from . import autograd as ag
 from . import model as mdl
 from .autograd import Tensor
 from .corpus import (Document, GrammarExample, WiktionaryEntry, corpus_digest,
-                     read_records)
+                     read_records, reading)
 from .model import ModelConfig, ParameterSet
 from .subwords import (SubwordModel, pack_examples, PAD_ID, CLS_ID, SEP_ID,
                        MASK_ID, NUM_SPECIALS)
@@ -228,7 +228,8 @@ class TrainLog:
 
         read_records(path, build, "train log")
         if out is None:
-            raise ValueError(f"{path}: first record must be the manifest")
+            with reading(path, "train log"):
+                raise ValueError("first record must be the manifest")
         return out
 
 

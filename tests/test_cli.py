@@ -239,7 +239,26 @@ def test_corpus_mix_negative_seed_is_data_error_before_the_run_manifest(tmp_path
                      "--out-dir", str(tmp_path / "mixed")])
     assert code == cli.EXIT_DATA
     err = capsys.readouterr().err
-    assert f"{manifest}: malformed manifest: seed must be non-negative" in err
+    assert f"{manifest}: bad manifest: seed must be non-negative" in err
+    assert not (tmp_path / "mixed").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("budget", True), ("total_budget", 10.9), ("seed", 1.5), ("budget", "12")])
+def test_corpus_mix_manifest_numbers_must_be_json_integers(field, value, tmp_path, capsys):
+    plain = tmp_path / "plain.jsonl"
+    _write_documents(plain, ["alpha beta gamma"])
+    obj = {"total_budget": 10, "seed": 0, "entries": [
+        {"path": str(plain), "kind": "unconstrained", "budget": 5}]}
+    (obj["entries"][0] if field == "budget" else obj)[field] = value
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(obj), encoding="utf-8")
+    code = cli.main(["corpus", "mix", "--manifest", str(manifest),
+                     "--out-dir", str(tmp_path / "mixed")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_DATA, err
+    assert err.startswith(f"data error: {manifest}: bad manifest: "
+                          f"field '{field}' must be an integer, got {type(value).__name__}")
     assert not (tmp_path / "mixed").exists()
 
 
@@ -850,3 +869,49 @@ def test_malformed_record_is_data_error_naming_file_and_line(
     err = capsys.readouterr().err
     assert code == cli.EXIT_DATA, err
     assert f"data error: {bad}: " + (f"line {line}: bad " if line else "") in err
+
+
+# -- one fault table for every input a command reads ----------------------------
+
+_NO_VOCAB_FLAGS = TINY_MODEL_FLAGS[2:] + ["--epochs", "1", "--warmup-steps", "1"]
+
+# case: (file name, argv for that file, the shared corpus and eval artifacts)
+INPUT_FILES = {
+    "stats-txt": ("docs.txt", lambda bad, corpus, art, out: ["corpus", "stats", bad]),
+    "stats-jsonl": ("docs.jsonl", lambda bad, corpus, art, out: ["corpus", "stats", bad]),
+    "stats-wiktionary": ("dict.csv", lambda bad, corpus, art, out: [
+        "corpus", "stats", bad, "--kind", "wiktionary"]),
+    "mix-manifest": ("manifest.json", lambda bad, corpus, art, out: [
+        "corpus", "mix", "--manifest", bad, "--out-dir", out]),
+    "train-subwords": ("subwords.json", lambda bad, corpus, art, out: [
+        "train", "--mlm", "--corpus", corpus, "--subwords", bad, "--out-dir", out]
+        + _NO_VOCAB_FLAGS),
+    "train-mlm-wikt": ("dict.csv", lambda bad, corpus, art, out: [
+        "train", "--mlm-wikt", bad, "--corpus", corpus, "--out-dir", out] + AUX_FLAGS),
+    "train-mlm-gram": ("gram.jsonl", lambda bad, corpus, art, out: [
+        "train", "--mlm-gram", bad, "--corpus", corpus, "--out-dir", out] + AUX_FLAGS),
+    "eval-checkpoint": ("model.bin", lambda bad, corpus, art, out: [
+        "eval", "--checkpoint", bad, "--subwords", str(art / cli.SUBWORDS_NAME),
+        "--toy", "subject-verb", "--n", "2", "--out-dir", out]),
+    "eval-pairs": ("pairs.jsonl", lambda bad, corpus, art, out: _eval_flags(art, out)
+                   + ["--subwords", str(art / cli.SUBWORDS_NAME), "--pairs", bad]),
+    "eval-blimp": ("blimp.jsonl", lambda bad, corpus, art, out: _eval_flags(art, out)
+                   + ["--subwords", str(art / cli.SUBWORDS_NAME), "--pairs", bad, "--blimp"]),
+}
+
+
+@pytest.mark.parametrize("fault", ["non-utf8", "directory"])
+@pytest.mark.parametrize("case", sorted(INPUT_FILES))
+def test_unreadable_input_is_data_error_naming_the_file_once(
+        case, fault, tmp_path, corpus_path, eval_artifacts, capsys):
+    name, argv = INPUT_FILES[case]
+    bad = tmp_path / name
+    if fault == "directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b"word,pos,definition\n\xff\xfe,noun,x\n")
+    code = cli.main(argv(str(bad), str(corpus_path), eval_artifacts, str(tmp_path / "o")))
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_DATA, err
+    assert err.startswith(f"data error: {bad}: "), err
+    assert err.count(str(bad)) == 1, err

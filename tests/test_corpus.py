@@ -1,6 +1,8 @@
 """Corpus types, serialization, and budgeted mixing."""
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +79,46 @@ class TestTriplets:
         assert str(err.value).startswith(f"{path}: line 2: bad triplet record: malformed JSON")
 
 
+def _fault_policy_breaches(source: str) -> list[str]:
+    """Places outside the `reading` boundary that report a file fault
+    themselves: a raise whose exception is built from a variable named
+    `path`, or an except clause catching KeyError, TypeError or csv.Error."""
+    tree = ast.parse(source)
+    inside = {id(node) for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) and cls.name == "reading"
+              for node in ast.walk(cls)}
+    breaches = []
+    for node in ast.walk(tree):
+        if id(node) in inside:
+            continue
+        if isinstance(node, ast.Raise) and node.exc is not None and any(
+                isinstance(n, ast.Name) and n.id == "path" for n in ast.walk(node.exc)):
+            breaches.append(f"line {node.lineno}: raise built from `path`")
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            caught = {ast.unparse(t) for t in types} & {"KeyError", "TypeError", "csv.Error"}
+            if caught:
+                breaches.append(f"line {node.lineno}: except {', '.join(sorted(caught))}")
+    return breaches
+
+
+def test_fault_policy_lives_in_the_boundary():
+    package = Path(cp.__file__).parent
+    breaches = {f.name: _fault_policy_breaches(f.read_text(encoding="utf-8"))
+                for f in sorted(package.glob("*.py"))}
+    assert {name: found for name, found in breaches.items() if found} == {}
+
+
+def test_fault_policy_check_catches_a_reader_of_its_own():
+    snippet = ("def load(path):\n"
+               "    try:\n"
+               "        return parse(path)\n"
+               "    except (KeyError, ValueError):\n"
+               "        raise ValueError(f\"{path}: bad\")\n")
+    assert _fault_policy_breaches(snippet) == ["line 4: except KeyError",
+                                               "line 5: raise built from `path`"]
+
+
 class TestRecordReader:
     """Every JSONL format goes through one reader with one error form."""
 
@@ -140,7 +182,7 @@ class TestWiktionary:
         header = ",".join(["word", "pos", "definition"]
                           + [f"example_{k}" for k in range(1, 14)])
         path.write_text(header + "\n" + ",".join(cells) + "\n")
-        with pytest.raises(ValueError, match="row 1"):
+        with pytest.raises(ValueError, match="line 2"):
             cp.parse_wiktionary_csv(path)
 
     def test_missing_header(self, tmp_path):
@@ -148,6 +190,22 @@ class TestWiktionary:
         path.write_text("")
         with pytest.raises(ValueError, match="header"):
             cp.parse_wiktionary_csv(path)
+
+    def test_quoted_commas_and_newlines_round_trip(self, tmp_path):
+        path = tmp_path / "w.csv"
+        entries = [cp.WiktionaryEntry("a, b", "noun", 'the "first", \r\nsaid so',
+                                      ('"Quoted," she said.', "two\nlines")),
+                   cp.WiktionaryEntry("c", "verb", "plain")]
+        cp.write_wiktionary_csv(path, entries)
+        assert cp.parse_wiktionary_csv(path) == entries
+
+    def test_unclosed_quote_names_the_line_its_row_starts_on(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("word,pos,definition\n\na,noun,first\n"
+                        'b,noun,"second opens a quote\nc,noun,third\n')
+        with pytest.raises(ValueError) as err:
+            cp.parse_wiktionary_csv(path)
+        assert str(err.value) == f"{path}: line 4: bad dictionary CSV: unexpected end of data"
 
 
 class TestGrammarExamples:
@@ -221,7 +279,7 @@ class TestManifest:
 
     def test_non_integer_budget_names_the_file(self, tmp_path):
         msg = self._load_written(tmp_path, self._manifest_text(budget="five"))
-        assert "'five'" in msg
+        assert "field 'budget' must be an integer, got str" in msg
 
     def test_truncated_json_names_the_file(self, tmp_path):
         self._load_written(tmp_path, self._manifest_text()[:21])
