@@ -5,19 +5,24 @@ flags, input file hashes, seed, artifact names, tool version) into the
 output directory before long-running work starts, so any run can be
 replayed exactly. Exit codes are stable: 0 success, 1 usage error,
 2 data error, 3 runtime error (a failed completion, or a non-finite loss
-or gradient in training). A missing, malformed, non-UTF-8, unreadable or
-directory input is a data error, "<path>: [line <n>: ]bad <format>: <reason>"
-(CSV faults count file lines).
+or gradient in training). Flags become settings before the manifest is
+written; a flag that sets a library setting takes its default from the
+library type or function, and a setting the library rejects is a usage
+error. A missing, malformed, non-UTF-8, unreadable or directory input is
+a data error, "<path>: [line <n>: ]bad <format>: <reason>" (CSV faults
+count file lines).
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import logging
 import sys
-from dataclasses import replace
+from contextlib import contextmanager
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -49,6 +54,22 @@ class _Parser(argparse.ArgumentParser):
     # raise instead of sys.exit(2) so main() owns the exit-code contract
     def error(self, message):
         raise UsageError(message)
+
+
+@contextmanager
+def _settings_from_flags():
+    """Build settings from flags alone, reading no file: a rule the
+    settings break is a usage error."""
+    try:
+        yield
+    except ValueError as e:
+        raise UsageError(str(e)) from e
+
+
+def _given(**flags) -> dict:
+    """The flags that were given; an unset one leaves its setting to the
+    default of the function or type it is passed to."""
+    return {name: value for name, value in flags.items() if value is not None}
 
 
 def _sha256_file(path: Path) -> str:
@@ -128,7 +149,7 @@ def _render_prompt(args) -> str:
         if not args.notion or not args.topic:
             raise UsageError("--figure 1 requires --notion and --topic")
         spec = sy.NotionSpec(args.notion, args.alternate, args.sentential)
-        return sy.render_generation_prompt(spec, args.topic, args.count or 500)
+        return sy.render_generation_prompt(spec, args.topic, **_given(count=args.count))
     if args.figure == 2:
         if not args.notion or not args.sentence:
             raise UsageError("--figure 2 requires --notion and --sentence")
@@ -137,11 +158,13 @@ def _render_prompt(args) -> str:
     if not args.word or not args.pos or not args.definition:
         raise UsageError("--figure 3 requires --word, --pos, and --definition")
     entry = cp.WiktionaryEntry(args.word, args.pos, args.definition, ())
-    return sy.render_wiktionary_example_prompt(entry, args.count or 3)
+    return sy.render_wiktionary_example_prompt(entry, **_given(count=args.count))
 
 
 def cmd_synth_render(args) -> int:
-    print(_render_prompt(args))
+    with _settings_from_flags():
+        prompt = _render_prompt(args)
+    print(prompt)
     return EXIT_OK
 
 
@@ -175,6 +198,10 @@ def cmd_synth_generate(args) -> int:
 # -- train --------------------------------------------------------------------
 
 def _model_config(args) -> mdl.ModelConfig:
+    max_positions = args.max_positions
+    if max_positions is None:
+        max_positions = max(mdl.MIN_POSITIONS, args.context_size)
+    decoder_layers = 2 if args.decoder_layers is None else args.decoder_layers
     # a --subwords model's size is set once it is read; the least valid one stands in
     return mdl.ModelConfig(
         vocab_size=NUM_SPECIALS + 1 if args.vocab_size is None else args.vocab_size,
@@ -182,8 +209,8 @@ def _model_config(args) -> mdl.ModelConfig:
         n_heads=args.heads,
         d_model=args.d_model,
         d_ff=args.d_ff,
-        max_positions=args.max_positions or max(64, args.context_size),
-        decoder_layers=0 if args.mlm else args.decoder_layers or 2,
+        max_positions=max_positions,
+        decoder_layers=0 if args.mlm else decoder_layers,
         dropout=args.dropout,
         seed=args.seed,
     )
@@ -198,7 +225,7 @@ def _training_config(args) -> tr.TrainingConfig:
         epochs=args.epochs,
         context_size=args.context_size,
         seed=args.seed,
-        aux_weight=1.0 if args.aux_weight is None else args.aux_weight,
+        **_given(aux_weight=args.aux_weight),
     )
 
 
@@ -212,11 +239,9 @@ def cmd_train(args) -> int:
         raise UsageError("--vocab-size sizes a new tokenizer; --subwords brings its own")
     if not args.subwords and args.vocab_size is None:
         args.vocab_size = 40000
-    try:
+    with _settings_from_flags():
         cfg = _training_config(args)
         model_cfg = _model_config(args)
-    except ValueError as e:
-        raise UsageError(str(e)) from e
     if model_cfg.max_positions < cfg.context_size:
         raise UsageError(f"--max-positions {model_cfg.max_positions} is smaller than "
                          f"--context-size {cfg.context_size}")
@@ -267,10 +292,9 @@ def cmd_eval(args) -> int:
     if args.toy:
         args.n = 500 if args.n is None else args.n
         args.seed = 0 if args.seed is None else args.seed
-        if args.n < 1:
-            raise UsageError("--n must be >= 1")
-        if args.seed < 0:
-            raise UsageError("--seed must be >= 0")
+        with _settings_from_flags():
+            pairs = ev.generate_toy_minimal_pairs(args.toy, args.n, args.seed)
+        pairs_id = f"toy:{args.toy}:n{args.n}:seed{args.seed}"
     inputs = [Path(args.checkpoint), Path(args.subwords)]
     if args.pairs:
         inputs.append(Path(args.pairs))
@@ -285,9 +309,6 @@ def cmd_eval(args) -> int:
         loader = ev.load_blimp_pairs if args.blimp else ev.load_minimal_pairs
         pairs = loader(args.pairs)
         pairs_id = Path(args.pairs).name
-    else:
-        pairs = ev.generate_toy_minimal_pairs(args.toy, args.n, args.seed)
-        pairs_id = f"toy:{args.toy}:n{args.n}:seed{args.seed}"
     model_id = args.model_id or Path(args.checkpoint).name
     report = ev.evaluate_suite(params, subwords, pairs, model_id=model_id,
                                pairs_id=pairs_id)
@@ -352,10 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"use the endpoint in ${sy.ENV_API_URL}")
     p_gen.add_argument("--out-dir", required=True)
     p_gen.add_argument("--num-notions", type=int, default=None)
-    p_gen.add_argument("--per-notion", type=int, default=500)
-    p_gen.add_argument("--tag-count", type=int, default=100)
-    p_gen.add_argument("--tag-notions", type=int, default=50)
-    p_gen.add_argument("--chunk-size", type=int, default=25)
+    generate = inspect.signature(sy.generate_notion_dataset).parameters
+    for name in ("per_notion", "tag_count", "tag_notions", "chunk_size"):
+        p_gen.add_argument("--" + name.replace("_", "-"), type=int,
+                           default=generate[name].default)
     p_gen.set_defaults(func=cmd_synth_generate)
 
     # train
@@ -372,22 +393,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--out-dir", required=True)
     p_train.add_argument("--vocab-size", type=int, default=None,
                          help="size of a new tokenizer (default 40000)")
-    p_train.add_argument("--context-size", type=int, default=64)
-    p_train.add_argument("--batch-size", type=int, default=64)
-    p_train.add_argument("--epochs", type=int, default=50)
-    p_train.add_argument("--learning-rate", type=float, default=2e-4)
-    p_train.add_argument("--weight-decay", type=float, default=0.01)
-    p_train.add_argument("--warmup-steps", type=int, default=4000)
+    training = {f.name: f.default for f in fields(tr.TrainingConfig)}
+    model = {f.name: f.default for f in fields(mdl.ModelConfig)}
+    p_train.add_argument("--context-size", type=int, default=training["context_size"])
+    p_train.add_argument("--batch-size", type=int, default=training["batch_size"])
+    p_train.add_argument("--epochs", type=int, default=training["epochs"])
+    p_train.add_argument("--learning-rate", type=float, default=training["learning_rate"])
+    p_train.add_argument("--weight-decay", type=float, default=training["weight_decay"])
+    p_train.add_argument("--warmup-steps", type=int, default=training["warmup_steps"])
     p_train.add_argument("--aux-weight", type=float, default=None,
-                         help="auxiliary loss weight (default 1.0)")
-    p_train.add_argument("--layers", type=int, default=4)
-    p_train.add_argument("--heads", type=int, default=4)
-    p_train.add_argument("--d-model", type=int, default=128)
-    p_train.add_argument("--d-ff", type=int, default=512)
+                         help=f"auxiliary loss weight (default {training['aux_weight']})")
+    p_train.add_argument("--layers", type=int, default=model["n_layers"])
+    p_train.add_argument("--heads", type=int, default=model["n_heads"])
+    p_train.add_argument("--d-model", type=int, default=model["d_model"])
+    p_train.add_argument("--d-ff", type=int, default=model["d_ff"])
     p_train.add_argument("--decoder-layers", type=int, default=None)
-    p_train.add_argument("--dropout", type=float, default=0.1)
+    p_train.add_argument("--dropout", type=float, default=model["dropout"])
     p_train.add_argument("--max-positions", type=int, default=None)
-    p_train.add_argument("--seed", type=int, default=0)
+    p_train.add_argument("--seed", type=int, default=training["seed"])
     p_train.set_defaults(func=cmd_train)
 
     # eval

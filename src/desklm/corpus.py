@@ -442,13 +442,14 @@ def load_source(path: str | Path, kind: str | None) -> list[Document]:
     """Load one manifest entry as documents, dispatching on kind and suffix.
 
     Kind "triplet" reads triplet records, whatever the suffix, and flattens
-    them. Otherwise .txt files become paragraph documents of the given kind.
+    them. Otherwise .txt files become paragraph documents of the given kind,
+    and .csv files are dictionaries: each entry (headword, definition,
+    examples) becomes one document of the given kind.
     For .jsonl, a grammar-kind file whose first record has a "sentence"
     field reads generated-sentence records; anything else reads document
-    records. Kind "wiktionary" reads the CSV and renders each entry
-    (headword, definition, examples) as one document.
-    Kind None labels nothing: each document record keeps its own source
-    ("unconstrained" when it has none), and .txt paragraphs are "unconstrained".
+    records. Kind None labels nothing: each document record keeps its own
+    source ("unconstrained" when it has none), .txt paragraphs are
+    "unconstrained" and dictionary entries "wiktionary".
     """
     p = Path(path)
     if kind == "triplet":
@@ -460,9 +461,9 @@ def load_source(path: str | Path, kind: str | None) -> list[Document]:
         examples = load_grammar_examples(p)
         return [Document(id=f"{p.stem}-{i:06d}", source=kind, text=ex.sentence)
                 for i, ex in enumerate(examples)]
-    if kind == "wiktionary" and p.suffix == ".csv":
+    if p.suffix == ".csv":
         entries = parse_wiktionary_csv(p)
-        return [Document(id=f"{p.stem}-{i:06d}", source=kind,
+        return [Document(id=f"{p.stem}-{i:06d}", source=kind or "wiktionary",
                          text=" ".join([f"{e.word} ({e.pos}): {e.definition}",
                                         *e.examples]))
                 for i, e in enumerate(entries)]

@@ -34,8 +34,8 @@ class MinimalPair:
     phenomenon: str
 
     def __post_init__(self):
-        if not self.good or not self.bad:
-            raise ValueError("both sentences must be non-empty")
+        if not self.good.split() or not self.bad.split():
+            raise ValueError("both sentences must be non-empty, not blank")
         if self.good == self.bad:
             raise ValueError("good and bad sentences must differ")
         if not self.phenomenon:
@@ -221,7 +221,8 @@ def generate_toy_minimal_pairs(kind: str, n: int, seed: int) -> list[MinimalPair
     ungrammatical twin flips exactly one token (verb inflection for
     subject-verb, the determiner for determiner-noun). Singular and
     plural subjects are drawn in equal proportion. Pairs are unique by
-    rejection; deterministic for a given seed.
+    rejection, so `n` is at most the grammar's number of distinct pairs;
+    deterministic for a given seed.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -229,16 +230,20 @@ def generate_toy_minimal_pairs(kind: str, n: int, seed: int) -> list[MinimalPair
     if phenomenon is None:
         raise ValueError(f"unknown pair kind {kind!r}; "
                          f"expected 'subject-verb' or 'determiner-noun'")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+    # every draw of number, noun, verb, optional adjective, tail (and
+    # determiner) writes a different grammatical sentence
+    distinct = 2 * len(_NOUNS) * len(_VERBS) * (len(_ADJECTIVES) + 1) * len(_TAILS)
+    if phenomenon == DETERMINER_NOUN:
+        distinct *= len(_DETERMINERS)
+    if n > distinct:
+        raise ValueError(f"n must be at most {distinct}, the distinct {kind} pairs "
+                         f"of the toy grammar; got {n}")
     rng = np.random.default_rng(seed)
     pairs: list[MinimalPair] = []
     seen: set[str] = set()
-    attempts = 0
-    max_attempts = 200 * n + 10000
     while len(pairs) < n:
-        attempts += 1
-        if attempts > max_attempts:
-            raise ValueError(f"could not generate {n} unique pairs "
-                             f"(vocabulary too small); got {len(pairs)}")
         plural = bool(rng.integers(2))
         noun = _NOUNS[rng.integers(len(_NOUNS))][plural]
         verb_sg, verb_pl = _VERBS[rng.integers(len(_VERBS))]

@@ -25,6 +25,8 @@ from .subwords import PAD_ID, MARK_ID, NUM_SPECIALS
 MASK_VALUE = -1e30
 CHECKPOINT_MAGIC = b"DLMCKPT1"
 CHECKPOINT_VERSION = 1
+# the fewest positions a model may have: the default, and the floor of every config
+MIN_POSITIONS = 64
 
 
 @dataclass(frozen=True)
@@ -34,7 +36,7 @@ class ModelConfig:
     n_heads: int = 4
     d_model: int = 128
     d_ff: int = 512
-    max_positions: int = 64
+    max_positions: int = MIN_POSITIONS
     decoder_layers: int = 0
     dropout: float = 0.1
     seed: int = 0
@@ -48,8 +50,8 @@ class ModelConfig:
             raise ValueError(
                 f"d_model ({self.d_model}) must be divisible by n_heads ({self.n_heads})"
             )
-        if self.max_positions < 64:
-            raise ValueError("max_positions must be at least 64")
+        if self.max_positions < MIN_POSITIONS:
+            raise ValueError(f"max_positions must be at least {MIN_POSITIONS}")
         if self.decoder_layers < 0:
             raise ValueError("decoder_layers must be >= 0")
         if not 0.0 <= self.dropout < 1.0:

@@ -244,10 +244,14 @@ def prompt_key(prompt: str) -> str:
 
 class MockCompletionClient:
     """Offline client returning the canned `<prompt_key>.txt` files of a
-    directory. A missing response raises at once: it is never retried."""
+    directory, which must exist. A missing response raises at once: it is
+    never retried."""
 
     def __init__(self, directory: str | Path):
         self._directory = Path(directory)
+        with reading(directory, "canned responses"):
+            if not self._directory.is_dir():
+                raise ValueError("not a directory")
         self.calls = 0
 
     def complete(self, prompt: str) -> str:

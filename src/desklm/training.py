@@ -59,6 +59,9 @@ class TrainingConfig:
     aux_weight: float = 1.0
 
     def __post_init__(self):
+        for name in ("learning_rate", "weight_decay", "eps", "aux_weight"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.weight_decay < 0:
@@ -89,10 +92,13 @@ class MaskingConfig:
     def __post_init__(self):
         if not 0.0 <= self.mask_prob <= 1.0:
             raise ValueError("mask_prob must lie in [0, 1]")
-        total = self.mask_frac + self.random_frac + self.keep_frac
+        fractions = (self.mask_frac, self.random_frac, self.keep_frac)
+        if not all(math.isfinite(f) for f in fractions):
+            raise ValueError(f"fractions must be finite, got {fractions}")
+        total = sum(fractions)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"mask/random/keep fractions must sum to 1, got {total}")
-        if min(self.mask_frac, self.random_frac, self.keep_frac) < 0:
+        if min(fractions) < 0:
             raise ValueError("fractions must be non-negative")
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import json
 import re
 import shlex
@@ -22,6 +23,7 @@ from desklm import corpus as cp
 from desklm import evaluation as ev
 from desklm import model as mdl
 from desklm import synthesis as sy
+from desklm import training as tr
 from desklm.subwords import SPECIAL_TOKENS, SubwordModel, train_subwords
 
 from helpers import make_pseudo_corpus
@@ -331,6 +333,17 @@ def test_render_figure_3(capsys):
     assert capsys.readouterr().out == sy.render_wiktionary_example_prompt(entry, 2) + "\n"
 
 
+@pytest.mark.parametrize("figure", [
+    ["--figure", "1", "--notion", "common noun", "--topic", "physics"],
+    ["--figure", "3", "--word", "prism", "--pos", "noun", "--definition", "a solid"],
+])
+def test_render_count_zero_is_usage_error(capsys, figure):
+    code = cli.main(["synth", "render", "--count", "0"] + figure)
+    assert code == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "count must be >= 1" in captured.err and captured.out == ""
+
+
 def _canned_default_notion(directory: Path, per_notion: int, chunk: int,
                            tag_count: int):
     """Canned responses for --num-notions 1 runs over the default lists."""
@@ -374,6 +387,16 @@ def test_synth_generate_mock(tmp_path, capsys):
     assert cli.main(argv2) == cli.EXIT_OK
     assert ((out_dir / "dataset.jsonl").read_bytes()
             == (out_dir2 / "dataset.jsonl").read_bytes())
+
+
+def test_synth_generate_mock_not_a_directory_is_data_error_before_manifest(tmp_path,
+                                                                            capsys):
+    code = cli.main(["synth", "generate", "--mock", str(tmp_path / "nomock"),
+                     "--out-dir", str(tmp_path / "g")])
+    assert code == cli.EXIT_DATA
+    assert (capsys.readouterr().err == f"data error: {tmp_path / 'nomock'}: "
+            "bad canned responses: not a directory\n")
+    assert not (tmp_path / "g").exists()
 
 
 def test_synth_generate_num_notions_bounds(tmp_path, capsys):
@@ -565,6 +588,9 @@ def test_decoder_layers_misuse_is_usage_error(tmp_path, corpus_path, capsys, fla
      "--max-positions 100 is smaller than --context-size 128"),
     (["--aux-weight", "5"], "--aux-weight is only used with"),
     (["--seed", "-1"], "seed must be non-negative"),
+    (["--max-positions", "0"], "max_positions must be at least 64"),
+    (["--learning-rate", "nan"], "learning_rate must be finite"),
+    (["--weight-decay", "inf"], "weight_decay must be finite"),
 ])
 def test_bad_model_or_training_flag_is_usage_error_before_bpe(tmp_path, corpus_path,
                                                              monkeypatch, capsys,
@@ -577,6 +603,40 @@ def test_bad_model_or_training_flag_is_usage_error_before_bpe(tmp_path, corpus_p
     assert code == cli.EXIT_USAGE
     assert message in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_non_finite_aux_weight_is_usage_error_before_bpe(tmp_path, corpus_path,
+                                                        monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("trained subwords before checking the flags")
+    monkeypatch.setattr(cli, "train_subwords", never)
+    code = cli.main(["train", "--mlm-gram", "g.jsonl", "--corpus", str(corpus_path),
+                     "--out-dir", str(tmp_path / "o"), "--aux-weight", "nan"])
+    assert code == cli.EXIT_USAGE
+    assert "aux_weight must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_parsed_defaults_are_the_library_defaults():
+    parser = cli.build_parser()
+    train = parser.parse_args(["train", "--mlm", "--corpus", "c", "--out-dir", "o"])
+    training, model = tr.TrainingConfig(), mdl.ModelConfig(vocab_size=cli.NUM_SPECIALS + 1)
+    assert (train.context_size, train.batch_size, train.epochs, train.learning_rate,
+            train.weight_decay, train.warmup_steps, train.seed) == (
+        training.context_size, training.batch_size, training.epochs,
+        training.learning_rate, training.weight_decay, training.warmup_steps, training.seed)
+    assert (train.layers, train.heads, train.d_model, train.d_ff, train.dropout,
+            train.seed) == (model.n_layers, model.n_heads, model.d_model, model.d_ff,
+                            model.dropout, model.seed)
+    # unset, these two resolve to the config's own default
+    assert train.aux_weight is None and train.max_positions is None
+    assert cli._training_config(train).aux_weight == training.aux_weight
+    assert cli._model_config(train).max_positions == model.max_positions
+
+    generate = parser.parse_args(["synth", "generate", "--mock", "m", "--out-dir", "o"])
+    signature = inspect.signature(sy.generate_notion_dataset).parameters
+    for name in ("per_notion", "tag_count", "tag_notions", "chunk_size"):
+        assert getattr(generate, name) == signature[name].default, name
 
 
 def test_train_mlm_gram(tmp_path, corpus_path):
@@ -677,8 +737,11 @@ def test_eval_pairs_file(tmp_path, eval_artifacts):
     (["--pairs", "p.jsonl", "--seed", "2"], "--n and --seed shape --toy pairs"),
     (["--pairs", "p.jsonl", "--blimp", "--n", "7"], "--n and --seed shape --toy pairs"),
     (["--toy", "subject-verb", "--blimp"], "--blimp reads a --pairs file only"),
-    (["--toy", "subject-verb", "--n", "0"], "--n must be >= 1"),
-    (["--toy", "subject-verb", "--seed", "-1"], "--seed must be >= 0"),
+    (["--toy", "subject-verb", "--n", "0"], "n must be >= 1"),
+    (["--toy", "subject-verb", "--seed", "-1"], "seed must be non-negative"),
+    # one pair more than the toy grammar holds
+    (["--toy", "subject-verb", "--n", "34561"], "n must be at most 34560"),
+    (["--toy", "determiner-noun", "--n", "69121"], "n must be at most 69120"),
 ])
 def test_eval_flag_misuse_is_usage_error_before_manifest(tmp_path, eval_artifacts,
                                                          monkeypatch, capsys,

@@ -417,6 +417,19 @@ class TestLoadSource:
         docs = cp.load_source(path, "wiktionary")
         assert docs[0].text == "sprocket (noun): a toothed wheel The sprocket turned."
 
+    @pytest.mark.parametrize("kind, source", [("wiktionary", "wiktionary"),
+                                              (None, "wiktionary"),
+                                              ("unconstrained", "unconstrained")])
+    def test_csv_reads_as_a_dictionary_whatever_the_kind(self, tmp_path, kind, source):
+        path = tmp_path / "d.csv"
+        cp.write_wiktionary_csv(path, [
+            cp.WiktionaryEntry("sprocket", "noun", "a toothed wheel", ()),
+            cp.WiktionaryEntry("gear", "noun", "a wheel", ("It turned.",))])
+        docs = cp.load_source(path, kind)
+        assert [(d.id, d.source, d.text) for d in docs] == [
+            ("d-000000", source, "sprocket (noun): a toothed wheel"),
+            ("d-000001", source, "gear (noun): a wheel It turned.")]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="nope.jsonl"):
             cp.load_source(tmp_path / "nope.jsonl", "unconstrained")

@@ -32,6 +32,8 @@ class TestMinimalPair:
     def test_validation(self):
         with pytest.raises(ValueError, match="non-empty"):
             ev.MinimalPair("", "b", "p")
+        with pytest.raises(ValueError, match="non-empty"):
+            ev.MinimalPair("a", " \t ", "p")
         with pytest.raises(ValueError, match="differ"):
             ev.MinimalPair("same", "same", "p")
         with pytest.raises(ValueError, match="phenomenon"):
@@ -382,6 +384,26 @@ class TestToyPairs:
             ev.generate_toy_minimal_pairs("anaphora", 5, seed=0)
         with pytest.raises(ValueError, match="n must be"):
             ev.generate_toy_minimal_pairs("subject-verb", 0, seed=0)
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            ev.generate_toy_minimal_pairs("subject-verb", 5, seed=-1)
+
+    @pytest.mark.parametrize("kind", ["subject-verb", "determiner-noun"])
+    def test_n_beyond_the_distinct_pairs_is_refused_up_front(self, kind):
+        # every grammatical sentence the templates can write, built here word by word
+        goods = set()
+        for plural in (0, 1):
+            for noun in ev._NOUNS:
+                for verb in ev._VERBS:
+                    for adj in [None] + ev._ADJECTIVES:
+                        for tail in ev._TAILS:
+                            words = ([adj] if adj else []) + [noun[plural], verb[plural], tail]
+                            if kind == "subject-verb":
+                                goods.add(" ".join(["the"] + words))
+                            else:
+                                goods.update(" ".join([det[plural]] + words)
+                                             for det in ev._DETERMINERS)
+        with pytest.raises(ValueError, match=f"n must be at most {len(goods)}, "):
+            ev.generate_toy_minimal_pairs(kind, len(goods) + 1, seed=0)
 
     def test_five_hundred_unique_and_deterministic(self):
         a = ev.generate_toy_minimal_pairs("subject-verb", 500, seed=9)
@@ -451,6 +473,21 @@ class TestPairFiles:
             ev.load_blimp_pairs(path)
         assert str(exc.value).startswith(f"{path}: line 1: bad BLiMP record")
         assert "good and bad sentences must differ" in str(exc.value)
+
+    @pytest.mark.parametrize("loader, record, what", [
+        (ev.load_minimal_pairs, {"good": "a b", "bad": "  ", "phenomenon": "p"}, "pair"),
+        (ev.load_blimp_pairs, {"sentence_good": " ", "sentence_bad": "a", "UID": "u"},
+         "BLiMP"),
+    ])
+    def test_blank_sentence_reports_file_and_line(self, tmp_path, loader, record, what):
+        path = tmp_path / "pairs.jsonl"
+        path.write_text('{"good": "a", "bad": "b", "phenomenon": "p", '
+                        '"sentence_good": "a", "sentence_bad": "b", "UID": "u"}\n'
+                        + json.dumps(record) + "\n")
+        with pytest.raises(ValueError) as exc:
+            loader(path)
+        assert str(exc.value).startswith(f"{path}: line 2: bad {what} record")
+        assert "non-empty" in str(exc.value)
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "pairs.jsonl"

@@ -195,6 +195,13 @@ class TestClients:
         assert client.complete("disk prompt") == "disk answer"
         assert client.calls == 1
 
+    @pytest.mark.parametrize("name", ["absent", "file.txt"])
+    def test_mock_path_not_a_directory_is_refused(self, tmp_path, name):
+        (tmp_path / "file.txt").write_text("x")
+        with pytest.raises(ValueError) as exc:
+            sy.MockCompletionClient(directory=tmp_path / name)
+        assert str(exc.value) == f"{tmp_path / name}: bad canned responses: not a directory"
+
     def test_mock_missing_prompt(self, tmp_path, monkeypatch):
         monkeypatch.setattr(time, "sleep", _no_sleep)
         client = sy.MockCompletionClient(directory=tmp_path)

@@ -57,6 +57,10 @@ class TestConfigs:
             tr.TrainingConfig(beta2=1.0)
         with pytest.raises(ValueError, match="seed must be non-negative"):
             tr.TrainingConfig(seed=-1)
+        for name in ("learning_rate", "weight_decay", "eps", "aux_weight"):
+            for value in (float("nan"), float("inf")):
+                with pytest.raises(ValueError, match=f"{name} must be finite"):
+                    tr.TrainingConfig(**{name: value})
 
     def test_masking_defaults(self):
         m = tr.MaskingConfig()
@@ -70,6 +74,8 @@ class TestConfigs:
             tr.MaskingConfig(mask_prob=1.5)
         with pytest.raises(ValueError, match="non-negative"):
             tr.MaskingConfig(mask_frac=1.2, random_frac=-0.1, keep_frac=-0.1)
+        with pytest.raises(ValueError, match="fractions must be finite"):
+            tr.MaskingConfig(mask_frac=float("nan"))
 
 
 class TestMasking:
