@@ -1,16 +1,14 @@
-"""Command-line entry point: corpus, synth, train, and eval subcommands.
+"""Command line (`desklm` or `python -m desklm`): corpus, synth, train, eval.
 
-Every artifact-producing invocation writes a run manifest (resolved
-flags, input file hashes, seed, artifact names, tool version) into the
-output directory before long-running work starts, so any run can be
-replayed exactly. Exit codes are stable: 0 success, 1 usage error,
-2 data error, 3 runtime error (a failed completion, or a non-finite loss
-or gradient in training). Flags become settings before the manifest is
-written; a flag that sets a library setting takes its default from the
-library type or function, and a setting the library rejects is a usage
-error. A missing, malformed, non-UTF-8, unreadable or directory input is
-a data error, "<path>: [line <n>: ]bad <format>: <reason>" (CSV faults
-count file lines).
+Every artifact-producing invocation hashes its inputs and writes a run
+manifest (resolved flags, input hashes, seed, artifact names, tool version)
+into its output directory before long-running work starts, so any run can
+be replayed exactly. Exit codes: 0 success, 1 usage error, 2 data error,
+3 runtime error (a failed completion, or a non-finite loss or gradient).
+Flags become settings before the manifest: defaults and rules are the
+library's, and a setting it rejects is a usage error. A missing input is a
+data error with the system's message, before anything is written; a
+malformed or unreadable one is "<path>: [line <n>: ]bad <format>: <reason>".
 """
 
 from __future__ import annotations
@@ -82,10 +80,8 @@ def _sha256_file(path: Path) -> str:
 
 def write_run_manifest(args: argparse.Namespace, inputs: list[Path], seed: int | None,
                        artifacts: list[str]) -> Path:
-    """Write the run manifest of a parsed command into its --out-dir, which
-    is returned. The command words and every other parsed flag are recorded."""
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Hash every input, then write the run manifest of a parsed command (its
+    words and every other parsed flag) into its --out-dir, which is returned."""
     words = (args.command, getattr(args, "subcommand", None))
     manifest = {
         "tool": "desklm",
@@ -93,10 +89,12 @@ def write_run_manifest(args: argparse.Namespace, inputs: list[Path], seed: int |
         "subcommand": " ".join(w for w in words if w),
         "config": {k: v for k, v in vars(args).items()
                    if k not in ("func", "command", "subcommand")},
-        "input_hashes": {str(p): _sha256_file(p) for p in inputs if p.is_file()},
+        "input_hashes": {str(p): _sha256_file(p) for p in inputs},
         "seed": seed,
         "artifacts": sorted(artifacts),
     }
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / MANIFEST_NAME).write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return out_dir
@@ -144,19 +142,26 @@ def cmd_corpus_flatten(args) -> int:
 
 # -- synth --------------------------------------------------------------------
 
+# per figure, the flags its template requires and the others it reads
+_FIGURE_FLAGS = {1: (("notion", "topic"), ("alternate", "count")),
+                 2: (("notion", "sentence"), ("sentential",)),
+                 3: (("word", "pos", "definition"), ("count",))}
+
+
 def _render_prompt(args) -> str:
+    required, optional = _FIGURE_FLAGS[args.figure]
+    unread = [name for req, opt in _FIGURE_FLAGS.values() for name in req + opt
+              if name not in required + optional and getattr(args, name) not in (None, False)]
+    if unread:
+        raise UsageError(f"--figure {args.figure} does not read --{unread[0]}")
+    if not all(getattr(args, name) for name in required):
+        raise UsageError(f"--figure {args.figure} requires --" + " and --".join(required))
     if args.figure == 1:
-        if not args.notion or not args.topic:
-            raise UsageError("--figure 1 requires --notion and --topic")
-        spec = sy.NotionSpec(args.notion, args.alternate, args.sentential)
+        spec = sy.NotionSpec(args.notion, args.alternate)
         return sy.render_generation_prompt(spec, args.topic, **_given(count=args.count))
     if args.figure == 2:
-        if not args.notion or not args.sentence:
-            raise UsageError("--figure 2 requires --notion and --sentence")
-        spec = sy.NotionSpec(args.notion, args.alternate, args.sentential)
+        spec = sy.NotionSpec(args.notion, sentential=args.sentential)
         return sy.render_tagging_prompt(args.sentence, spec)
-    if not args.word or not args.pos or not args.definition:
-        raise UsageError("--figure 3 requires --word, --pos, and --definition")
     entry = cp.WiktionaryEntry(args.word, args.pos, args.definition, ())
     return sy.render_wiktionary_example_prompt(entry, **_given(count=args.count))
 
@@ -178,17 +183,12 @@ def cmd_synth_generate(args) -> int:
         if not 1 <= args.num_notions <= len(notions):
             raise UsageError(f"--num-notions must be in [1, {len(notions)}]")
         notions = notions[: args.num_notions]
-    if args.chunk_size < 1:
-        raise UsageError("--chunk-size must be >= 1")
-    for flag in ("per_notion", "tag_count", "tag_notions"):
-        if getattr(args, flag) < 0:
-            raise UsageError(f"--{flag.replace('_', '-')} must be >= 0")
-    if args.tag_count > args.per_notion:
-        raise UsageError(f"--tag-count {args.tag_count} exceeds --per-notion {args.per_notion}")
+    counts = dict(per_notion=args.per_notion, tag_count=args.tag_count,
+                  tag_notions=args.tag_notions, chunk_size=args.chunk_size)
+    with _settings_from_flags():
+        sy.check_dataset_counts(**counts)
     out = write_run_manifest(args, [], None, ["dataset.jsonl"])
-    examples = sy.generate_notion_dataset(
-        client, notions, per_notion=args.per_notion, tag_count=args.tag_count,
-        tag_notions=args.tag_notions, chunk_size=args.chunk_size)
+    examples = sy.generate_notion_dataset(client, notions, **counts)
     cp.save_grammar_examples(out / "dataset.jsonl", examples)
     tagged = sum(1 for e in examples if e.tags)
     print(f"wrote {len(examples)} sentences ({tagged} tagged) to {out / 'dataset.jsonl'}")
@@ -230,23 +230,21 @@ def _training_config(args) -> tr.TrainingConfig:
 
 
 def cmd_train(args) -> int:
-    if args.decoder_layers is not None and (args.mlm or args.decoder_layers < 1):
-        raise UsageError("--decoder-layers takes a count >= 1 and only with "
-                         "--mlm-wikt or --mlm-gram")
-    if args.aux_weight is not None and args.mlm:
-        raise UsageError("--aux-weight is only used with --mlm-wikt or --mlm-gram")
+    for flag in ("decoder_layers", "aux_weight"):
+        if args.mlm and getattr(args, flag) is not None:
+            raise UsageError(f"--{flag.replace('_', '-')} is only used with "
+                             "--mlm-wikt or --mlm-gram")
     if args.subwords and args.vocab_size is not None:
         raise UsageError("--vocab-size sizes a new tokenizer; --subwords brings its own")
     if not args.subwords and args.vocab_size is None:
         args.vocab_size = 40000
+    objective = "definition" if args.mlm_wikt else "grammar" if args.mlm_gram else None
     with _settings_from_flags():
         cfg = _training_config(args)
         model_cfg = _model_config(args)
-    if model_cfg.max_positions < cfg.context_size:
-        raise UsageError(f"--max-positions {model_cfg.max_positions} is smaller than "
-                         f"--context-size {cfg.context_size}")
+        tr.check_training(model_cfg, cfg, objective)
     inputs = [Path(args.corpus)]
-    if args.mlm_wikt or args.mlm_gram:
+    if objective:
         inputs.append(Path(args.mlm_wikt or args.mlm_gram))
     if args.subwords:
         inputs.append(Path(args.subwords))
@@ -261,17 +259,15 @@ def cmd_train(args) -> int:
     subwords.save(out / SUBWORDS_NAME)
 
     model_cfg = replace(model_cfg, vocab_size=subwords.vocab_size)
-    if args.mlm:
+    if objective is None:
         params, tlog = tr.train_mlm(docs, subwords, model_cfg, cfg)
     else:
-        if args.mlm_wikt:
+        if objective == "definition":
             entries = cp.parse_wiktionary_csv(args.mlm_wikt)
             items = tr.build_definition_batch(entries, subwords)
-            objective = "definition"
         else:
             examples = [ex for ex in cp.load_grammar_examples(args.mlm_gram) if ex.tags]
             items = tr.build_grammar_batch(examples, subwords)
-            objective = "grammar"
         params, tlog = tr.train_multi_objective(docs, subwords, items, objective,
                                                 model_cfg, cfg)
     mdl.save_checkpoint(params, out / CHECKPOINT_NAME)
@@ -302,9 +298,7 @@ def cmd_eval(args) -> int:
                              ["report.json", "report.txt", "scores.jsonl"])
     params = mdl.load_checkpoint(args.checkpoint)
     subwords = SubwordModel.load(args.subwords)
-    if params.config.vocab_size != subwords.vocab_size:
-        raise ValueError(f"{args.checkpoint} is a model of {params.config.vocab_size} "
-                         f"tokens but {args.subwords} has {subwords.vocab_size}")
+    mdl.check_vocab_sizes(params.config, subwords, args.checkpoint, args.subwords)
     if args.pairs:
         loader = ev.load_blimp_pairs if args.blimp else ev.load_minimal_pairs
         pairs = loader(args.pairs)
@@ -451,3 +445,7 @@ def main(argv=None) -> int:
 
 def entry_point() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry_point()

@@ -153,6 +153,7 @@ def evaluate_suite(params: ParameterSet, subwords: SubwordModel,
     phenomenon, then pll_good, pll_bad, margin and correct, or
     `"skipped": true` for a skipped pair.
     """
+    mdl.check_vocab_sizes(params.config, subwords)
     if not pairs:
         raise ValueError("no pairs to evaluate")
     limit = params.config.max_positions

@@ -20,7 +20,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Tensor
 from .corpus import reading
-from .subwords import PAD_ID, MARK_ID, NUM_SPECIALS
+from .subwords import PAD_ID, MARK_ID, NUM_SPECIALS, SubwordModel
 
 MASK_VALUE = -1e30
 CHECKPOINT_MAGIC = b"DLMCKPT1"
@@ -58,6 +58,15 @@ class ModelConfig:
             raise ValueError("dropout must be in [0, 1)")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+
+
+def check_vocab_sizes(config: ModelConfig, subwords: SubwordModel,
+                      model: str = "the model", tokenizer: str = "the tokenizer") -> None:
+    """Raise ValueError, naming `model` and `tokenizer`, unless they have one
+    vocabulary size."""
+    if config.vocab_size != subwords.vocab_size:
+        raise ValueError(f"{model} is a model of {config.vocab_size} tokens but "
+                         f"{tokenizer} has {subwords.vocab_size}")
 
 
 class ParameterSet(dict):

@@ -329,6 +329,19 @@ class HTTPCompletionClient:
 # Dataset generation
 # ---------------------------------------------------------------------------
 
+def check_dataset_counts(per_notion: int, tag_count: int, tag_notions: int,
+                         chunk_size: int) -> None:
+    """Raise ValueError unless `generate_notion_dataset` can run these counts."""
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    for name, count in (("per_notion", per_notion), ("tag_count", tag_count),
+                        ("tag_notions", tag_notions)):
+        if count < 0:
+            raise ValueError(f"{name} must be >= 0, got {count}")
+    if tag_count > per_notion:
+        raise ValueError(f"tag_count {tag_count} exceeds per_notion {per_notion}")
+
+
 def generate_notion_dataset(
     client: CompletionClient,
     notions: Sequence[NotionSpec],
@@ -349,14 +362,7 @@ def generate_notion_dataset(
     Unparseable responses are skipped with a log line; client failures are
     raised (the live client retries its own requests first).
     """
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    for name, count in (("per_notion", per_notion), ("tag_count", tag_count),
-                        ("tag_notions", tag_notions)):
-        if count < 0:
-            raise ValueError(f"{name} must be >= 0, got {count}")
-    if tag_count > per_notion:
-        raise ValueError(f"tag_count {tag_count} exceeds per_notion {per_notion}")
+    check_dataset_counts(per_notion, tag_count, tag_notions, chunk_size)
     names = [s.notion for s in notions]
     if len(set(names)) != len(names):
         raise ValueError("notion list contains duplicates")

@@ -395,10 +395,9 @@ def _train(docs: Sequence[Document], subwords: SubwordModel,
     aux_weight 0, on its own rng streams.
     """
     mcfg = mcfg or MaskingConfig()
+    mdl.check_vocab_sizes(model_cfg, subwords)
     if not docs:
         raise ValueError("corpus is empty")
-    if model_cfg.max_positions < cfg.context_size:
-        raise ValueError("model max_positions is smaller than context_size")
     packed = pack_examples(subwords, docs, cfg.context_size)
     n = packed.shape[0]
     if n == 0:
@@ -463,10 +462,26 @@ def _train(docs: Sequence[Document], subwords: SubwordModel,
     return params, tlog
 
 
+def check_training(model_cfg: ModelConfig, cfg: TrainingConfig,
+                   objective: str | None = None) -> None:
+    """Raise ValueError unless these settings can train: MLM alone when
+    `objective` is None, else MLM plus that auxiliary objective."""
+    if model_cfg.max_positions < cfg.context_size:
+        raise ValueError(f"model max_positions is smaller than context_size: "
+                         f"{model_cfg.max_positions} < {cfg.context_size}")
+    if objective is None:
+        return
+    if objective not in ("definition", "grammar"):
+        raise ValueError(f"unknown objective {objective!r}")
+    if model_cfg.decoder_layers == 0:
+        raise ValueError("multi-objective training requires decoder_layers > 0")
+
+
 def train_mlm(docs: Sequence[Document], subwords: SubwordModel,
               model_cfg: ModelConfig, cfg: TrainingConfig,
               mcfg: MaskingConfig | None = None) -> tuple[ParameterSet, TrainLog]:
     """Masked-language-model pretraining, deterministic given cfg.seed."""
+    check_training(model_cfg, cfg)
     return _train(docs, subwords, model_cfg, cfg, mcfg)
 
 
@@ -483,10 +498,7 @@ def train_multi_objective(docs: Sequence[Document], subwords: SubwordModel,
     objective is "definition" (marked-token memory) or "grammar" (full
     hidden-state memory); items longer than max_positions are dropped.
     """
-    if objective not in ("definition", "grammar"):
-        raise ValueError(f"unknown objective {objective!r}")
-    if model_cfg.decoder_layers == 0:
-        raise ValueError("multi-objective training requires decoder_layers > 0")
+    check_training(model_cfg, cfg, objective)
     limit = model_cfg.max_positions
     usable = [it for it in aux_items
               if len(it.enc_ids) <= limit and len(it.dec_in) <= limit]

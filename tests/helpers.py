@@ -370,6 +370,11 @@ def reference_init_params(config: ModelConfig) -> dict[str, np.ndarray]:
     return arrays
 
 
+def subwords_of_size(n: int) -> SubwordModel:
+    """A merge-free subword model of exactly n tokens: the specials, then w0, w1, ..."""
+    return SubwordModel(list(SPECIAL_TOKENS) + [f"w{k}" for k in range(n - NUM_SPECIALS)], [])
+
+
 def zero_params(config: mdl.ModelConfig) -> mdl.ParameterSet:
     """A model whose every weight is zero: exactly uniform MLM logits."""
     params = mdl.init_params(config)

@@ -11,14 +11,17 @@ import ast
 import importlib
 import inspect
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from desklm import cli
+from desklm import __version__, cli
 from desklm import corpus as cp
 from desklm import evaluation as ev
 from desklm import model as mdl
@@ -36,6 +39,28 @@ def test_version_flag(capsys):
         cli.main(["--version"])
     assert exc.value.code == 0
     assert "desklm" in capsys.readouterr().out
+
+
+def _run_module(module: str, *argv: str, cwd: Path) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", module, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("module", ["desklm", "desklm.cli"])
+def test_python_dash_m_runs_the_cli(module, tmp_path):
+    run = _run_module(module, "train", "--mlm", "--corpus", "missing.jsonl",
+                      "--out-dir", "o", cwd=tmp_path)
+    assert run.returncode == cli.EXIT_DATA, run.stderr
+    assert run.stderr.startswith("data error:"), run.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_python_dash_m_desklm_version(tmp_path):
+    run = _run_module("desklm", "--version", cwd=tmp_path)
+    assert (run.returncode, run.stdout) == (0, f"desklm {__version__}\n")
 
 
 def test_unknown_command_is_usage_error(capsys):
@@ -344,6 +369,30 @@ def test_render_count_zero_is_usage_error(capsys, figure):
     assert "count must be >= 1" in captured.err and captured.out == ""
 
 
+_FIGURES = {1: ["--notion", "common noun", "--topic", "physics"],
+            2: ["--notion", "common noun", "--sentence", "The cat sleeps."],
+            3: ["--word", "prism", "--pos", "noun", "--definition", "a solid"]}
+
+
+@pytest.mark.parametrize("figure, unread, flags", [
+    (1, "--sentential", ["--sentential"]),
+    (1, "--sentence", ["--sentence", "The cat sleeps."]),
+    (1, "--word", ["--word", "prism"]),
+    (2, "--alternate", ["--alternate", "proper noun"]),
+    (2, "--count", ["--count", "3"]),
+    (2, "--topic", ["--count", "0", "--topic", "t", "--word", "w"]),
+    (3, "--notion", ["--notion", "common noun"]),
+    (3, "--sentential", ["--sentential"]),
+    (3, "--topic", ["--topic", "physics"]),
+])
+def test_render_flag_the_figure_does_not_read_is_usage_error(capsys, figure, unread, flags):
+    code = cli.main(["synth", "render", "--figure", str(figure)] + _FIGURES[figure] + flags)
+    assert code == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: --figure {figure} does not read {unread}\n"
+    assert captured.out == ""
+
+
 def _canned_default_notion(directory: Path, per_notion: int, chunk: int,
                            tag_count: int):
     """Canned responses for --num-notions 1 runs over the default lists."""
@@ -406,13 +455,14 @@ def test_synth_generate_num_notions_bounds(tmp_path, capsys):
     assert "--num-notions" in capsys.readouterr().err
 
 
+# the count rules are synthesis.check_dataset_counts', reported in its words
 @pytest.mark.parametrize("flags, message", [
-    (["--chunk-size", "0"], "--chunk-size must be >= 1"),
-    (["--per-notion", "-2", "--tag-count", "-3"], "--per-notion must be >= 0"),
-    (["--tag-count", "-3"], "--tag-count must be >= 0"),
-    (["--tag-notions", "-1"], "--tag-notions must be >= 0"),
+    (["--chunk-size", "0"], "chunk_size must be >= 1, got 0"),
+    (["--per-notion", "-2", "--tag-count", "-3"], "per_notion must be >= 0, got -2"),
+    (["--tag-count", "-3"], "tag_count must be >= 0, got -3"),
+    (["--tag-notions", "-1"], "tag_notions must be >= 0, got -1"),
     (["--retries", "0"], "unrecognized arguments: --retries"),
-    (["--per-notion", "2", "--tag-count", "5"], "--tag-count 5 exceeds --per-notion 2"),
+    (["--per-notion", "2", "--tag-count", "5"], "tag_count 5 exceeds per_notion 2"),
 ])
 def test_synth_generate_bad_count_is_usage_error(tmp_path, capsys, flags, message):
     code = cli.main(["synth", "generate", "--mock", str(tmp_path),
@@ -575,7 +625,10 @@ def test_decoder_layers_misuse_is_usage_error(tmp_path, corpus_path, capsys, fla
     code = cli.main(["train", "--corpus", str(corpus_path),
                      "--out-dir", str(tmp_path / "o")] + flags)
     assert code == cli.EXIT_USAGE
-    assert "--decoder-layers" in capsys.readouterr().err
+    # giving the flag to --mlm is the CLI's rule; a zero count breaks training's
+    expected = ("--decoder-layers is only used with" if "--mlm" in flags
+                else "multi-objective training requires decoder_layers > 0")
+    assert expected in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -585,7 +638,7 @@ def test_decoder_layers_misuse_is_usage_error(tmp_path, corpus_path, capsys, fla
     # flags the run would otherwise override or drop
     (["--max-positions", "32"], "max_positions must be at least 64"),
     (["--max-positions", "100", "--context-size", "128"],
-     "--max-positions 100 is smaller than --context-size 128"),
+     "max_positions is smaller than context_size: 100 < 128"),
     (["--aux-weight", "5"], "--aux-weight is only used with"),
     (["--seed", "-1"], "seed must be non-negative"),
     (["--max-positions", "0"], "max_positions must be at least 64"),
@@ -978,3 +1031,36 @@ def test_unreadable_input_is_data_error_naming_the_file_once(
     assert code == cli.EXIT_DATA, err
     assert err.startswith(f"data error: {bad}: "), err
     assert err.count(str(bad)) == 1, err
+
+
+# case: argv naming a missing input, given that file and the eval artifacts
+MISSING_INPUTS = {
+    "train-corpus": lambda missing, art, out: [
+        "train", "--mlm", "--corpus", missing, "--out-dir", out] + TRAIN_FLAGS,
+    "eval-checkpoint": lambda missing, art, out: [
+        "eval", "--checkpoint", missing, "--subwords", str(art / cli.SUBWORDS_NAME),
+        "--toy", "subject-verb", "--n", "2", "--out-dir", out],
+    "flatten-triplets": lambda missing, art, out: [
+        "corpus", "flatten-triplets", "--input", missing, "--out-dir", out],
+    "mix-source": lambda missing, art, out: [
+        "corpus", "mix", "--manifest", _mix_manifest(Path(out).parent, missing),
+        "--out-dir", out],
+}
+
+
+def _mix_manifest(directory: Path, source: str) -> str:
+    manifest = directory / "manifest.json"
+    manifest.write_text(json.dumps({"total_budget": 10, "seed": 1, "entries": [
+        {"path": source, "kind": "unconstrained", "budget": 10}]}), encoding="utf-8")
+    return str(manifest)
+
+
+@pytest.mark.parametrize("case", sorted(MISSING_INPUTS))
+def test_missing_input_is_data_error_before_the_out_dir(case, tmp_path, eval_artifacts,
+                                                        capsys):
+    missing = tmp_path / "missing.jsonl"
+    code = cli.main(MISSING_INPUTS[case](str(missing), eval_artifacts, str(tmp_path / "o")))
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_DATA, err
+    assert err == f"data error: [Errno 2] No such file or directory: '{missing}'\n"
+    assert not (tmp_path / "o").exists()

@@ -11,7 +11,8 @@ from desklm import model as mdl
 from desklm.corpus import Document
 from desklm.subwords import MASK_ID, SPECIAL_TOKENS, UNK_ID, SubwordModel, train_subwords
 
-from helpers import brute_force_pll, reference_pseudo_log_likelihood, zero_params
+from helpers import (brute_force_pll, reference_pseudo_log_likelihood, subwords_of_size,
+                     zero_params)
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +142,19 @@ class TestClosedFormModel:
 
 
 class TestEvaluateSuite:
+    def test_model_and_tokenizer_of_different_sizes_refused(self, monkeypatch):
+        params = mdl.init_params(mdl.ModelConfig(vocab_size=120, n_layers=1, n_heads=2,
+                                                 d_model=16, d_ff=32))
+
+        def never(*args, **kwargs):
+            raise AssertionError("ran the model before checking the vocabulary sizes")
+        monkeypatch.setattr(mdl, "encoder_forward", never)
+        monkeypatch.setattr(ev, "pseudo_log_likelihood", never)
+        with pytest.raises(ValueError, match="the model is a model of 120 tokens "
+                                             "but the tokenizer has 80"):
+            ev.evaluate_suite(params, subwords_of_size(80),
+                              [ev.MinimalPair("w1 w2", "w2 w1", "p")])
+
     def test_each_distinct_sentence_scored_once(self, toy_subwords, small_params,
                                                 monkeypatch):
         pairs = [ev.MinimalPair("the cat sleeps", "the cat sleep", "sv"),

@@ -12,7 +12,7 @@ from desklm.subwords import CLS_ID, MARK_ID, PAD_ID, SEP_ID
 
 from helpers import (fd_check_params, reference_decoder_forward,
                      reference_encoder_forward, reference_init_params,
-                     reference_param_specs, zero_params)
+                     reference_param_specs, subwords_of_size, zero_params)
 
 
 def tiny_config(**kw):
@@ -55,6 +55,21 @@ class TestConfig:
     def test_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be non-negative"):
             tiny_config(seed=-1)
+
+
+class TestVocabSizes:
+    @pytest.mark.parametrize("model_size, tokenizer_size", [(120, 80), (80, 120)])
+    def test_different_sizes_named_with_both(self, model_size, tokenizer_size):
+        config = tiny_config(vocab_size=model_size)
+        with pytest.raises(ValueError) as default:
+            mdl.check_vocab_sizes(config, subwords_of_size(tokenizer_size))
+        assert str(default.value) == (f"the model is a model of {model_size} tokens "
+                                      f"but the tokenizer has {tokenizer_size}")
+        with pytest.raises(ValueError) as named:
+            mdl.check_vocab_sizes(config, subwords_of_size(tokenizer_size),
+                                  "run/checkpoint.bin", "run/subwords.json")
+        assert str(named.value) == (f"run/checkpoint.bin is a model of {model_size} tokens "
+                                    f"but run/subwords.json has {tokenizer_size}")
 
 
 class TestInit:

@@ -384,14 +384,19 @@ class TestGenerateNotionDataset:
         ({"per_notion": -2, "tag_count": -3}, "per_notion must be >= 0"),
         ({"tag_count": -3}, "tag_count must be >= 0"),
         ({"tag_notions": -1}, "tag_notions must be >= 0"),
+        ({"tag_count": 2}, "tag_count 2 exceeds per_notion 1"),
     ])
     def test_bad_counts_rejected_before_any_call(self, tmp_path, kw, match):
         client = sy.MockCompletionClient(directory=tmp_path)
-        counts = {"per_notion": 1, "tag_count": 0, **kw}
-        with pytest.raises(ValueError, match=match):
+        counts = {"per_notion": 1, "tag_count": 0, "tag_notions": 0, "chunk_size": 1, **kw}
+        with pytest.raises(ValueError, match=match) as generated:
             sy.generate_notion_dataset(client, [sy.NotionSpec("x")],
                                        sy.TopicList(("a",)), **counts)
         assert client.calls == 0
+        # check_dataset_counts is the rule's one home, word for word
+        with pytest.raises(ValueError) as checked:
+            sy.check_dataset_counts(**counts)
+        assert str(checked.value) == str(generated.value)
 
     @pytest.mark.parametrize("per_notion, chunk_size, max_calls", [(7, 3, 30), (2, 5, 10)])
     def test_gives_up_after_ten_calls_per_chunk(self, per_notion, chunk_size, max_calls):

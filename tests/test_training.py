@@ -16,7 +16,7 @@ from desklm.subwords import (CLS_ID, MARK_ID, MASK_ID, NUM_SPECIALS, PAD_ID,
                              SEP_ID, train_subwords)
 
 from helpers import (make_pseudo_corpus, reference_adamw_step, reference_train_mlm,
-                     reference_train_multi_objective)
+                     reference_train_multi_objective, subwords_of_size)
 
 
 def tiny_model(**kw):
@@ -804,3 +804,52 @@ class TestOneLoopMatchesReferences:
         assert 0 < len(tlog.steps) < tlog.manifest["total_steps"]
         assert new[0] == ref[0]
         assert new[1] == ref[1]
+
+
+class TestRunRules:
+    """check_training holds the rules between settings; both entry points run
+    it, and model.check_vocab_sizes, before any work."""
+
+    DOCS = [Document(id="d0", source="unconstrained", text="w0 w1 w2 w3")]
+    ITEMS = [tr.AuxItem(enc_ids=[CLS_ID, 7, SEP_ID], mem_index=None,
+                        dec_in=[CLS_ID], dec_labels=[SEP_ID])]
+    CASES = [
+        ({}, {"context_size": 65}, None,
+         "model max_positions is smaller than context_size: 64 < 65"),
+        ({"decoder_layers": 1}, {"context_size": 65}, "grammar",
+         "model max_positions is smaller than context_size: 64 < 65"),
+        ({"decoder_layers": 1}, {}, "tagging", "unknown objective 'tagging'"),
+        ({}, {}, "definition", "multi-objective training requires decoder_layers > 0"),
+    ]
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("did work before checking the settings")
+        monkeypatch.setattr(tr, "pack_examples", never)
+        monkeypatch.setattr(mdl, "init_params", never)
+        monkeypatch.setattr(mdl, "encoder_forward", never)
+
+    def _train(self, model_cfg, cfg, objective, subwords):
+        if objective is None:
+            return tr.train_mlm(self.DOCS, subwords, model_cfg, cfg)
+        return tr.train_multi_objective(self.DOCS, subwords, self.ITEMS, objective,
+                                        model_cfg, cfg)
+
+    @pytest.mark.parametrize("model_kw, train_kw, objective, message", CASES)
+    def test_check_training_is_the_rule_both_entry_points_run_first(
+            self, no_work, model_kw, train_kw, objective, message):
+        model_cfg, cfg = tiny_model(**model_kw), tiny_training(**train_kw)
+        with pytest.raises(ValueError) as checked:
+            tr.check_training(model_cfg, cfg, objective)
+        assert str(checked.value) == message
+        with pytest.raises(ValueError) as trained:
+            self._train(model_cfg, cfg, objective, subwords_of_size(model_cfg.vocab_size))
+        assert str(trained.value) == message
+
+    @pytest.mark.parametrize("objective", [None, "grammar"])
+    def test_model_and_tokenizer_of_different_sizes_refused(self, no_work, objective):
+        model_cfg = tiny_model(vocab_size=120, decoder_layers=0 if objective is None else 1)
+        with pytest.raises(ValueError, match="the model is a model of 120 tokens "
+                                             "but the tokenizer has 80"):
+            self._train(model_cfg, tiny_training(), objective, subwords_of_size(80))
