@@ -1,7 +1,8 @@
 """Reverse-mode automatic differentiation over float64 numpy arrays.
 
 Each op builds a Tensor node holding the forward value and a closure that
-maps the output gradient to the inputs' gradients (hand-derived, exact).
+maps the output gradient to each input's gradient (hand-derived, exact)
+and hands it to `Tensor._accumulate`, which keeps or drops and reduces it.
 `backward` runs an iterative topological sweep from a scalar loss; every
 analytic formula here is checked against finite differences in the tests.
 """
@@ -51,12 +52,18 @@ class Tensor:
         return self.data.ndim
 
     def _accumulate(self, g: np.ndarray) -> None:
-        """Add g to this tensor's gradient; the first g is kept, not copied.
+        """Add g to this tensor's gradient; every op's backward calls this.
 
-        The tensor then owns g and later gradients are summed into it in
-        place, so a backward closure hands any one array to at most one
-        input, and only after its own last read of it.
+        A tensor that does not require a gradient drops g. A g of another
+        shape is summed over the axes broadcasting expanded, or raises. The
+        first g is kept, not copied, and later ones are summed into it in
+        place. So the tensor owns g: a closure hands any one array to at
+        most one input, and only after its own last read of it.
         """
+        if not self.requires_grad:
+            return
+        if g.shape != self.data.shape:
+            g = _unbroadcast(g, self.data.shape)
         if self.grad is None:
             self.grad = g
         else:
@@ -122,14 +129,16 @@ def _swept(g: np.ndarray) -> None:
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum gradient over axes that numpy broadcasting expanded."""
+    """Sum g over the axes that broadcasting `shape` to g's shape expanded;
+    raise if g's shape is no broadcast of `shape`."""
     extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, d in enumerate(shape) if d == 1 and g.shape[i] != 1)
+    out = g.sum(axis=tuple(range(extra))) if extra > 0 else g
+    axes = tuple(i for i, (d, n) in enumerate(zip(shape, out.shape)) if d == 1 and n != 1)
     if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
+        out = out.sum(axis=axes, keepdims=True)
+    if out.shape != shape:
+        raise ValueError(f"gradient of shape {g.shape} does not reduce to shape {shape}")
+    return out
 
 
 # -- arithmetic -------------------------------------------------------------
@@ -138,12 +147,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def bwd(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            gb = _unbroadcast(g, b.data.shape)
-            # a kept g as its first gradient: b gets its own copy
-            b._accumulate(gb.copy() if a.grad is gb else gb)
+        a._accumulate(g)
+        # a kept g as its first gradient: b gets a copy, or a fresh sum of g
+        b._accumulate(g.copy() if a.grad is g and b.data.shape == g.shape else g)
 
     return _make(out, (a, b), bwd)
 
@@ -152,8 +158,7 @@ def scale(a: Tensor, s: float) -> Tensor:
     out = a.data * s
 
     def bwd(g):
-        if a.requires_grad:
-            a._accumulate(g * s)
+        a._accumulate(g * s)
 
     return _make(out, (a,), bwd)
 
@@ -173,12 +178,8 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     out = a.data @ b.data
 
     def bwd(g):
-        if a.requires_grad:
-            ga = g @ np.swapaxes(b.data, -1, -2)
-            a._accumulate(_unbroadcast(ga, a.data.shape))
-        if b.requires_grad:
-            gb = np.swapaxes(a.data, -1, -2) @ g
-            b._accumulate(_unbroadcast(gb, b.data.shape))
+        a._accumulate(g @ np.swapaxes(b.data, -1, -2))
+        b._accumulate(np.swapaxes(a.data, -1, -2) @ g)
 
     return _make(out, (a, b), bwd)
 
@@ -196,14 +197,12 @@ def _matmul_rows(a: Tensor, b: Tensor, bias: Tensor | None) -> Tensor:
 
     def bwd(g):
         g2 = g.reshape(-1, n)
-        if a.requires_grad:
-            a._accumulate((g2 @ b.data.T).reshape(a.data.shape))
-        if b.requires_grad:
-            # reshaped again here rather than kept: a copy for a strided a
-            b._accumulate(a.data.reshape(-1, k).T @ g2)
-        if bias is not None and bias.requires_grad:
-            # summed over the unflattened g, as add's backward did
-            bias._accumulate(_unbroadcast(g, bias.data.shape))
+        a._accumulate((g2 @ b.data.T).reshape(a.data.shape))
+        # reshaped again here rather than kept: a copy for a strided a
+        b._accumulate(a.data.reshape(-1, k).T @ g2)
+        if bias is not None:
+            # the unflattened g, as add's backward sums it; last: bias may keep g
+            bias._accumulate(g)
 
     return _make(out, (a, b) if bias is None else (a, b, bias), bwd)
 
@@ -212,8 +211,7 @@ def swapaxes(a: Tensor, axis1: int, axis2: int) -> Tensor:
     out = np.swapaxes(a.data, axis1, axis2)
 
     def bwd(g):
-        if a.requires_grad:
-            a._accumulate(np.swapaxes(g, axis1, axis2))
+        a._accumulate(np.swapaxes(g, axis1, axis2))
 
     return _make(out, (a,), bwd)
 
@@ -222,8 +220,7 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = a.data.reshape(shape)
 
     def bwd(g):
-        if a.requires_grad:
-            a._accumulate(g.reshape(a.data.shape))
+        a._accumulate(g.reshape(a.data.shape))
 
     return _make(out, (a,), bwd)
 
@@ -236,9 +233,13 @@ def _gather(a: Tensor, index: np.ndarray) -> Tensor:
     out = a.data[index]
 
     def bwd(g):
-        if a.requires_grad:
-            if a.grad is None:
-                a.grad = np.zeros_like(a.data)
+        # the scatter sums into an existing gradient in place, so rows
+        # gathered by several nodes add up in the order their nodes run
+        if a.grad is None:
+            ga = np.zeros_like(a.data)
+            np.add.at(ga, index, g)
+            a._accumulate(ga)
+        else:
             np.add.at(a.grad, index, g)
 
     return _make(out, (a,), bwd)
@@ -277,23 +278,22 @@ def gelu(a: Tensor) -> Tensor:
     out *= 0.5
 
     def bwd(g):
-        if a.requires_grad:
-            # d out/dx = ((1 + t) + x (1 - t^2) du/dx) / 2 with
-            # du/dx = C (1 + 3 A x^2); x * x is recomputed here rather than
-            # kept from the forward pass, so no extra array lives until now
-            s = x * x
-            s *= 3.0 * _GELU_A
-            s += 1.0
-            s *= _GELU_C
-            s *= x
-            w = t * t
-            np.subtract(1.0, w, out=w)
-            s *= w
-            s += t
-            s += 1.0
-            s *= 0.5
-            s *= g
-            a._accumulate(s)
+        # d out/dx = ((1 + t) + x (1 - t^2) du/dx) / 2 with
+        # du/dx = C (1 + 3 A x^2); x * x is recomputed here rather than
+        # kept from the forward pass, so no extra array lives until now
+        s = x * x
+        s *= 3.0 * _GELU_A
+        s += 1.0
+        s *= _GELU_C
+        s *= x
+        w = t * t
+        np.subtract(1.0, w, out=w)
+        s *= w
+        s += t
+        s += 1.0
+        s *= 0.5
+        s *= g
+        a._accumulate(s)
 
     return _make(out, (a,), bwd)
 
@@ -313,16 +313,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     out += bias.data
 
     def bwd(g):
-        if x.requires_grad:
-            gx = g * gain.data
-            m1 = gx.mean(axis=-1, keepdims=True)
-            m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-            x._accumulate(inv * (gx - m1 - xhat * m2))
-        if gain.requires_grad:
-            gain._accumulate(_unbroadcast(g * xhat, gain.data.shape))
-        if bias.requires_grad:
-            # last: bias may receive g itself, which the lines above read
-            bias._accumulate(_unbroadcast(g, bias.data.shape))
+        gx = g * gain.data
+        m1 = gx.mean(axis=-1, keepdims=True)
+        m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+        x._accumulate(inv * (gx - m1 - xhat * m2))
+        gain._accumulate(g * xhat)
+        # last: bias may keep g itself, which the lines above read
+        bias._accumulate(g)
 
     return _make(out, (x, gain, bias), bwd)
 
@@ -339,9 +336,8 @@ def softmax_masked(scores: Tensor, additive_mask: np.ndarray | None = None) -> T
     p = e / e.sum(axis=-1, keepdims=True)
 
     def bwd(g):
-        if scores.requires_grad:
-            dot = (g * p).sum(axis=-1, keepdims=True)
-            scores._accumulate(p * (g - dot))
+        dot = (g * p).sum(axis=-1, keepdims=True)
+        scores._accumulate(p * (g - dot))
 
     return _make(p, (scores,), bwd)
 
@@ -361,8 +357,7 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
     out *= inv
 
     def bwd(g):
-        if a.requires_grad:
-            a._accumulate(g * keep * inv)
+        a._accumulate(g * keep * inv)
 
     return _make(out, (a,), bwd)
 
@@ -391,12 +386,11 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     out = np.asarray(nll.sum() / n_kept)
 
     def bwd(g):
-        if logits.requires_grad:
-            gl = np.zeros_like(logits.data)
-            p = np.exp(logp[rows])
-            p[np.arange(len(rows)), labels[rows]] -= 1.0
-            gl[rows] = p * (float(g) / n_kept)
-            logits._accumulate(gl)
+        gl = np.zeros_like(logits.data)
+        p = np.exp(logp[rows])
+        p[np.arange(len(rows)), labels[rows]] -= 1.0
+        gl[rows] = p * (float(g) / n_kept)
+        logits._accumulate(gl)
 
     return _make(out, (logits,), bwd)
 

@@ -413,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--subwords", required=True)
     which = p_eval.add_mutually_exclusive_group(required=True)
     which.add_argument("--pairs", help="pair records, one JSON object per line")
-    which.add_argument("--toy", choices=("subject-verb", "determiner-noun"))
+    which.add_argument("--toy", choices=ev.TOY_KINDS)
     p_eval.add_argument("--blimp", action="store_true",
                         help="read --pairs in BLiMP field layout")
     p_eval.add_argument("--n", type=int, default=None, help="--toy pairs (default 500)")

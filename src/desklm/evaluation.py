@@ -200,7 +200,7 @@ _TAILS = [
 ]
 _DETERMINERS = [("this", "these"), ("that", "those")]
 
-_KINDS = {"subject-verb": SUBJECT_VERB, "determiner-noun": DETERMINER_NOUN}
+TOY_KINDS = {"subject-verb": SUBJECT_VERB, "determiner-noun": DETERMINER_NOUN}
 
 
 def toy_vocabulary_sentences() -> list[str]:
@@ -227,10 +227,10 @@ def generate_toy_minimal_pairs(kind: str, n: int, seed: int) -> list[MinimalPair
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    phenomenon = _KINDS.get(kind)
+    phenomenon = TOY_KINDS.get(kind)
     if phenomenon is None:
         raise ValueError(f"unknown pair kind {kind!r}; "
-                         f"expected 'subject-verb' or 'determiner-noun'")
+                         f"expected {' or '.join(map(repr, TOY_KINDS))}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     # every draw of number, noun, verb, optional adjective, tail (and

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +42,10 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):  # f.type is the annotation's text (PEP 563)
+            value = getattr(self, f.name)
+            if f.type == "int" and (not isinstance(value, int) or isinstance(value, bool)):
+                raise ValueError(f"{f.name} must be an integer, got {value!r}")
         if self.vocab_size <= NUM_SPECIALS:
             raise ValueError(f"vocab_size must exceed {NUM_SPECIALS}")
         if self.n_layers < 1 or self.n_heads < 1 or self.d_model < 1 or self.d_ff < 1:
@@ -302,11 +306,10 @@ def backward(params: ParameterSet, loss: Tensor) -> dict[str, np.ndarray]:
 
 
 def strip_decoder(params: ParameterSet) -> ParameterSet:
-    """Drop decoder tensors; encoder and MLM head are kept bit-exactly."""
+    """Keep, bit-exactly and in order, the tensors of the same config
+    without a decoder: the encoder and the MLM head."""
     cfg = replace(params.config, decoder_layers=0)
-    kept = {n: t for n, t in params.items()
-            if not (n.startswith("dec.") or n.startswith("dec_"))}
-    return ParameterSet(cfg, kept)
+    return ParameterSet(cfg, {name: params[name] for name, _ in _param_specs(cfg)})
 
 
 # -- checkpoint io -----------------------------------------------------------

@@ -38,14 +38,16 @@ class SubwordModel:
         for i, token in enumerate(vocab):
             if not isinstance(token, str):
                 raise ValueError(f"vocab entry {i} is not a string: {token!r}")
-        for r, m in enumerate(merges):
-            if not (isinstance(m, (list, tuple)) and len(m) == 2
-                    and all(isinstance(s, str) for s in m)):
-                raise ValueError(f"merge {r} is not a pair of strings: {m!r}")
         self.id_to_token: list[str] = list(vocab)
         self.token_to_id: dict[str, int] = {t: i for i, t in enumerate(self.id_to_token)}
         if len(self.token_to_id) != len(self.id_to_token):
             raise ValueError("vocab contains duplicate tokens")
+        for r, m in enumerate(merges):
+            if not (isinstance(m, (list, tuple)) and len(m) == 2
+                    and all(isinstance(s, str) for s in m)):
+                raise ValueError(f"merge {r} is not a pair of strings: {m!r}")
+            if m[0] + m[1] not in self.token_to_id:
+                raise ValueError(f"merge {r} makes {m[0] + m[1]!r}, which is not in the vocab")
         self.merges: list[tuple[str, str]] = [tuple(m) for m in merges]
         self._ranks = {pair: r for r, pair in enumerate(self.merges)}
         self._word_cache: dict[str, tuple[str, ...]] = {}

@@ -7,10 +7,13 @@ agreement between the two is meaningful.
 
 from __future__ import annotations
 
+import json
 import logging
 import math
+import struct
 from collections import Counter
-from typing import Sequence
+from pathlib import Path
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -373,6 +376,17 @@ def reference_init_params(config: ModelConfig) -> dict[str, np.ndarray]:
 def subwords_of_size(n: int) -> SubwordModel:
     """A merge-free subword model of exactly n tokens: the specials, then w0, w1, ..."""
     return SubwordModel(list(SPECIAL_TOKENS) + [f"w{k}" for k in range(n - NUM_SPECIALS)], [])
+
+
+def rewrite_checkpoint_header(path: Path, edit: Callable[[dict], None]) -> None:
+    """Apply `edit` to the JSON header of the checkpoint at `path`, in place."""
+    blob = path.read_bytes()
+    off = len(mdl.CHECKPOINT_MAGIC)
+    (hlen,) = struct.unpack_from("<I", blob, off)
+    header = json.loads(blob[off + 4: off + 4 + hlen])
+    edit(header)
+    raw = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(blob[:off] + struct.pack("<I", len(raw)) + raw + blob[off + 4 + hlen:])
 
 
 def zero_params(config: mdl.ModelConfig) -> mdl.ParameterSet:

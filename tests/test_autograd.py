@@ -1,6 +1,7 @@
 """Finite-difference verification of every autodiff op, plus graph mechanics."""
 
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -14,13 +15,15 @@ def weighted_sum(t, w):
     return ag.matmul(flat, ag.Tensor(np.asarray(w).reshape(-1, 1)))
 
 
-def gradcheck(build, inputs, eps=1e-6, rel_tol=1e-4, abs_floor=1e-7):
+def gradcheck(build, inputs, eps=1e-6, rel_tol=1e-4, abs_floor=1e-7, constants=()):
     """Compare analytic gradients of build(*inputs) against central differences.
 
     `build` maps Tensors to a scalar Tensor and must be deterministic.
-    Sweeps every coordinate of every input (keep them small).
+    Sweeps every coordinate of every input (keep them small). The inputs
+    whose indices are in `constants` do not require a gradient and must
+    get none.
     """
-    tensors = [ag.Tensor(x, requires_grad=True) for x in inputs]
+    tensors = [ag.Tensor(x, requires_grad=k not in constants) for k, x in enumerate(inputs)]
     loss = build(*tensors)
     ag.backward(loss)
 
@@ -29,6 +32,9 @@ def gradcheck(build, inputs, eps=1e-6, rel_tol=1e-4, abs_floor=1e-7):
 
     for k, x in enumerate(inputs):
         grad = tensors[k].grad
+        if k in constants:
+            assert grad is None, f"constant input {k} got a gradient"
+            continue
         assert grad is not None, f"input {k} got no gradient"
         flat = x.reshape(-1)
         for j in range(flat.size):
@@ -51,7 +57,8 @@ class TestElementwise:
     def test_add_broadcast(self):
         a, b = RNG.normal(size=(3, 4)), RNG.normal(size=(4,))
         w = RNG.normal(size=12)
-        gradcheck(lambda x, y: weighted_sum(ag.add(x, y), w), [a, b])
+        for constants in [(), (0,), (1,)]:
+            gradcheck(lambda x, y: weighted_sum(ag.add(x, y), w), [a, b], constants=constants)
 
     def test_scale(self):
         a = RNG.normal(size=(2, 5))
@@ -102,6 +109,18 @@ class TestShapes:
         w = RNG.normal(size=6)
         gradcheck(lambda x, y: weighted_sum(ag.matmul(x, y), w), [a, b])
 
+    @pytest.mark.parametrize("left, right", [((2, 3, 4), (2, 4, 5)),
+                                             ((2, 3, 4), (1, 4, 5)),
+                                             ((3, 4), (2, 4, 5))])
+    def test_matmul_batched_right(self, left, right):
+        # a batched right operand takes the general path, whose broadcast
+        # operand gets its gradient summed over the expanded axes
+        a, b = RNG.normal(size=left), RNG.normal(size=right)
+        w = RNG.normal(size=2 * 3 * 5)
+        for constants in [(), (0,), (1,)]:
+            gradcheck(lambda x, y: weighted_sum(ag.matmul(x, y), w), [a, b],
+                      constants=constants)
+
     def test_matmul_strided_3d_left_2d_right(self):
         # a swapaxes view is not contiguous, so the flattened 2-D product
         # has to copy it rather than reinterpret its memory
@@ -131,7 +150,9 @@ class TestShapes:
     def test_matmul_bias_gradcheck(self, lead):
         x, m, b = RNG.normal(size=(*lead, 4)), RNG.normal(size=(4, 3)), RNG.normal(size=(3,))
         w = RNG.normal(size=x.size // 4 * 3)
-        gradcheck(lambda x, m, b: weighted_sum(ag.matmul(x, m, b), w), [x, m, b])
+        for constants in [(), (0,), (1,), (2,)]:
+            gradcheck(lambda x, m, b: weighted_sum(ag.matmul(x, m, b), w), [x, m, b],
+                      constants=constants)
 
     @pytest.mark.parametrize("lead", [(5,), (2, 3)])
     def test_matmul_bias_bits_match_add_of_matmul(self, lead):
@@ -201,8 +222,9 @@ class TestNormalization:
         gain = RNG.normal(size=(5,)) + 1.0
         bias = RNG.normal(size=(5,))
         w = RNG.normal(size=30)
-        gradcheck(lambda a, g, b: weighted_sum(ag.layer_norm(a, g, b), w),
-                  [x, gain, bias])
+        for constants in [(), (0,), (1,), (2,)]:
+            gradcheck(lambda a, g, b: weighted_sum(ag.layer_norm(a, g, b), w),
+                      [x, gain, bias], constants=constants)
 
     def test_layer_norm_forward_bits_match_var_expression(self):
         # a strided 3-D view, so the reductions do not run over contiguous rows
@@ -392,6 +414,24 @@ class TestGraphMechanics:
             for q in leaves[i + 1:]:
                 assert not np.shares_memory(p.grad, q.grad)
         gradcheck(build, inputs)
+
+    @pytest.mark.parametrize("grad, shape", [((3,), (2, 4)), ((2, 5), (2, 4)),
+                                             ((6,), (2, 3)), ((2, 3, 4), (2, 1))])
+    def test_gradient_that_cannot_be_reduced_raises(self, grad, shape):
+        t = ag.Tensor(np.zeros(shape), requires_grad=True)
+        with pytest.raises(ValueError, match=re.escape(
+                f"gradient of shape {grad} does not reduce to shape {shape}")):
+            t._accumulate(np.ones(grad))
+        assert t.grad is None
+
+    def test_broadcast_gradient_is_summed_and_constant_drops_it(self):
+        t = ag.Tensor(np.zeros((1, 4)), requires_grad=True)
+        t._accumulate(np.ones((2, 3, 4)))
+        t._accumulate(np.ones((3, 4)))
+        np.testing.assert_array_equal(t.grad, np.full((1, 4), 9.0))
+        c = ag.Tensor(np.zeros((2, 4)))
+        c._accumulate(np.ones((3,)))  # not even checked: no gradient is kept
+        assert c.grad is None
 
     def test_sweep_frees_the_graph_and_keeps_leaf_gradients(self):
         x = ag.Tensor(RNG.normal(size=(2, 3)), requires_grad=True)

@@ -29,7 +29,7 @@ from desklm import synthesis as sy
 from desklm import training as tr
 from desklm.subwords import SPECIAL_TOKENS, SubwordModel, train_subwords
 
-from helpers import make_pseudo_corpus
+from helpers import make_pseudo_corpus, rewrite_checkpoint_header
 
 
 # -- exit codes ----------------------------------------------------------------
@@ -828,6 +828,23 @@ def test_eval_tokenizer_not_matching_checkpoint_is_data_error(tmp_path, capsys,
     assert not (tmp_path / "o" / "report.json").exists()
 
 
+@pytest.mark.parametrize("field, value", [("n_heads", 2.0), ("vocab_size", 250.0),
+                                          ("n_layers", True)])
+def test_eval_checkpoint_with_non_integer_size_is_data_error(tmp_path, eval_artifacts,
+                                                             capsys, field, value):
+    checkpoint = tmp_path / "model.bin"
+    checkpoint.write_bytes((eval_artifacts / cli.CHECKPOINT_NAME).read_bytes())
+    rewrite_checkpoint_header(checkpoint, lambda header: header["config"].update({field: value}))
+    code = cli.main(["eval", "--checkpoint", str(checkpoint),
+                     "--subwords", str(eval_artifacts / cli.SUBWORDS_NAME),
+                     "--toy", "subject-verb", "--n", "2", "--out-dir", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_DATA, err
+    assert err == (f"data error: {checkpoint}: bad checkpoint: "
+                   f"{field} must be an integer, got {value!r}\n")
+    assert not (tmp_path / "o" / "report.json").exists()
+
+
 def test_eval_writes_pair_scores(tmp_path, eval_artifacts):
     pairs = ev.generate_toy_minimal_pairs("subject-verb", 12, seed=4)
     pairs += ev.generate_toy_minimal_pairs("determiner-noun", 8, seed=4)
@@ -936,6 +953,10 @@ def _subwords_json(vocab: list, merges: list) -> str:
                        "vocab": list(SPECIAL_TOKENS) + vocab, "merges": merges})
 
 
+# "ab" is what merge 0 makes, and no token of the vocab
+_MERGE_NOT_IN_VOCAB = _subwords_json(["a", "b", " ", " a"], [["a", "b"]])
+
+
 def _eval_flags(art: Path, out: str) -> list[str]:
     return ["eval", "--checkpoint", str(art / cli.CHECKPOINT_NAME),
             "--out-dir", str(out)]
@@ -972,6 +993,13 @@ BAD_INPUTS = {
     "subwords-merges": ("subwords.json", [_subwords_json(["a", "b"], [["a", "b", "c"]])], None,
                         lambda bad, corpus, art, out: _eval_flags(art, out)
                         + ["--subwords", bad, "--toy", "subject-verb", "--n", "2"]),
+    "subwords-merge-product": ("subwords.json", [_MERGE_NOT_IN_VOCAB], None,
+                               lambda bad, corpus, art, out: _eval_flags(art, out)
+                               + ["--subwords", bad, "--toy", "subject-verb", "--n", "2"]),
+    "train-subwords-merge-product": ("subwords.json", [_MERGE_NOT_IN_VOCAB], None,
+                                     lambda bad, corpus, art, out: [
+                                         "train", "--mlm", "--corpus", corpus, "--subwords",
+                                         bad, "--out-dir", out] + _NO_VOCAB_FLAGS),
 }
 
 

@@ -1,7 +1,6 @@
 """Encoder/decoder architecture: masking exactness, init, checkpoints."""
 
-import json
-import struct
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +11,8 @@ from desklm.subwords import CLS_ID, MARK_ID, PAD_ID, SEP_ID
 
 from helpers import (fd_check_params, reference_decoder_forward,
                      reference_encoder_forward, reference_init_params,
-                     reference_param_specs, subwords_of_size, zero_params)
+                     reference_param_specs, rewrite_checkpoint_header,
+                     subwords_of_size, zero_params)
 
 
 def tiny_config(**kw):
@@ -55,6 +55,14 @@ class TestConfig:
     def test_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be non-negative"):
             tiny_config(seed=-1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_heads", 2.0), ("vocab_size", 40.0), ("n_layers", True), ("seed", "0"),
+        ("d_model", np.int64(8))])
+    def test_integer_fields_must_be_ints(self, field, value):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{field} must be an integer, got {value!r}")):
+            tiny_config(**{field: value})
 
 
 class TestVocabSizes:
@@ -562,17 +570,6 @@ class TestStripAndCheckpoint:
         mdl.save_checkpoint(loaded, again)
         assert again.read_bytes() == path.read_bytes()
 
-    @staticmethod
-    def _rewrite_header(path, edit):
-        blob = path.read_bytes()
-        off = len(mdl.CHECKPOINT_MAGIC)
-        (hlen,) = struct.unpack_from("<I", blob, off)
-        header = json.loads(blob[off + 4: off + 4 + hlen])
-        edit(header)
-        raw = json.dumps(header, sort_keys=True).encode("utf-8")
-        path.write_bytes(blob[:off] + struct.pack("<I", len(raw)) + raw
-                         + blob[off + 4 + hlen:])
-
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "m.bin"
         mdl.save_checkpoint(mdl.init_params(tiny_config()), path)
@@ -598,7 +595,7 @@ class TestStripAndCheckpoint:
             for entry in header["tensors"]:
                 if entry[0] == "enc_ln.g":
                     entry[1] = [4, 2]
-        self._rewrite_header(path, reshape_ln)
+        rewrite_checkpoint_header(path, reshape_ln)
         with pytest.raises(ValueError, match="enc_ln.g") as err:
             mdl.load_checkpoint(path)
         assert str(path) in str(err.value)
@@ -610,9 +607,22 @@ class TestStripAndCheckpoint:
 
         def drop_decoder(header):
             header["config"]["decoder_layers"] = 0
-        self._rewrite_header(path, drop_decoder)
+        rewrite_checkpoint_header(path, drop_decoder)
         with pytest.raises(ValueError, match="do not match the config"):
             mdl.load_checkpoint(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_heads", 2.0), ("vocab_size", 40.0), ("n_layers", True)])
+    def test_non_integer_config_size_rejected_naming_file(self, tmp_path, field, value):
+        # n_heads 2.0 divides d_model and n_layers true counts as 1, so only
+        # the type check stops these before a model call fails on them
+        path = tmp_path / "m.bin"
+        mdl.save_checkpoint(mdl.init_params(tiny_config(vocab_size=40)), path)
+        rewrite_checkpoint_header(path, lambda header: header["config"].update({field: value}))
+        with pytest.raises(ValueError) as err:
+            mdl.load_checkpoint(path)
+        assert str(err.value) == (f"{path}: bad checkpoint: "
+                                  f"{field} must be an integer, got {value!r}")
 
     def test_loaded_checkpoint_is_trainable(self, tmp_path):
         cfg = tiny_config()

@@ -43,6 +43,12 @@ class TestSpecials:
         with pytest.raises(ValueError, match="merge 1 is not a pair of strings"):
             sw.SubwordModel(vocab, [("a", "b"), merge])
 
+    def test_merge_product_must_be_in_vocab(self):
+        # unchecked, the merge ("a", "b") made encode("ab ab") [<unk>, " ", <unk>]
+        vocab = list(sw.SPECIAL_TOKENS) + ["a", "b", " ", " a"]
+        with pytest.raises(ValueError, match="merge 1 makes 'ab', which is not in the vocab"):
+            sw.SubwordModel(vocab, [(" ", "a"), ("a", "b")])
+
 
 class TestTraining:
     def test_hand_run_single_word(self):
@@ -262,6 +268,7 @@ class TestPersistence:
     @pytest.mark.parametrize("vocab, merges", [
         (["a", 7], [["a", "b"]]),
         (["a", "b"], [["a", "b", "c"]]),
+        (["a", "b", " ", " a"], [["a", "b"]]),
     ])
     def test_rejects_bad_tables_naming_file(self, tmp_path, vocab, merges):
         path = tmp_path / "bad.json"

@@ -741,6 +741,40 @@ class TestStepGraphFreed:
         assert peak - held < param_bytes + (held - before) / 4
 
 
+class TestGradientTraffic:
+    """`Tensor._accumulate` drops a gradient for a tensor that requires none,
+    and in training no op hands it one."""
+
+    @pytest.mark.parametrize("objective", [None, "grammar"])
+    def test_one_step_hands_no_gradient_to_a_constant(self, objective, monkeypatch,
+                                                      mo_docs, grammar_subwords):
+        kept = []
+        accumulate = ag.Tensor._accumulate
+
+        def spy(self, g):
+            kept.append(self.requires_grad)
+            accumulate(self, g)
+
+        class OneStep(Exception):
+            pass
+
+        def stop(*args, **kwargs):
+            raise OneStep
+
+        monkeypatch.setattr(ag.Tensor, "_accumulate", spy)
+        monkeypatch.setattr(tr, "adamw_step", stop)
+        model_cfg = tiny_model(vocab_size=95, dropout=0.1,
+                               decoder_layers=1 if objective else 0)
+        with pytest.raises(OneStep):
+            if objective:
+                tr.train_multi_objective(mo_docs, grammar_subwords,
+                                         tr.build_grammar_batch([TAGGED], grammar_subwords),
+                                         objective, model_cfg, tiny_training())
+            else:
+                tr.train_mlm(mo_docs, grammar_subwords, model_cfg, tiny_training())
+        assert kept and all(kept)
+
+
 @pytest.fixture(scope="module")
 def definition_setup():
     entries = [DEF_ENTRIES[0]]
