@@ -1,14 +1,16 @@
 """Command line (`desklm` or `python -m desklm`): corpus, synth, train, eval.
 
-Every artifact-producing invocation hashes its inputs and writes a run
-manifest (resolved flags, input hashes, seed, artifact names, tool version)
-into its output directory before long-running work starts, so any run can
-be replayed exactly. Exit codes: 0 success, 1 usage error, 2 data error,
-3 runtime error (a failed completion, or a non-finite loss or gradient).
-Flags become settings before the manifest: defaults and rules are the
-library's, and a setting it rejects is a usage error. A missing input is a
-data error with the system's message, before anything is written; a
-malformed or unreadable one is "<path>: [line <n>: ]bad <format>: <reason>".
+Every artifact-producing invocation reads and checks all its inputs, then
+writes a run manifest (resolved flags, input hashes, seed, artifact names,
+tool version) into its output directory, and only then starts its
+long-running work, so any run can be replayed exactly. Exit codes:
+0 success, 1 usage error, 2 data error, 3 runtime error (a failed
+completion, or a non-finite loss or gradient). Flags become settings before
+any input is read: defaults and rules are the library's, and a setting it
+rejects is a usage error. A missing input is a data error with the system's
+message; a malformed or unreadable one is
+"<path>: [line <n>: ]bad <format>: <reason>". Either exits before anything
+is written, except in `synth generate`, which reads responses as it runs.
 """
 
 from __future__ import annotations
@@ -119,9 +121,10 @@ def cmd_corpus_stats(args) -> int:
 
 def cmd_corpus_mix(args) -> int:
     manifest = cp.load_manifest(args.manifest)
+    sources = [cp.load_source(e.path, e.kind) for e in manifest.entries]
     inputs = [Path(args.manifest)] + [Path(e.path) for e in manifest.entries]
     out = write_run_manifest(args, inputs, manifest.seed, ["mixed.jsonl"])
-    mixed = cp.mix_from_manifest(manifest)
+    mixed = cp.mix_corpora(manifest, sources)
     cp.save_documents(out / "mixed.jsonl", mixed)
     totals = cp.source_word_totals(mixed)
     for entry in manifest.entries:
@@ -129,14 +132,6 @@ def cmd_corpus_mix(args) -> int:
     for source in sorted(totals):
         print(f"{source}: {totals[source]} words selected")
     print(f"total: {sum(totals.values())} / {manifest.total_budget} words")
-    return EXIT_OK
-
-
-def cmd_corpus_flatten(args) -> int:
-    out = write_run_manifest(args, [Path(args.input)], None, ["flattened.jsonl"])
-    docs = cp.load_source(args.input, "triplet")
-    cp.save_documents(out / "flattened.jsonl", docs)
-    print(f"wrote {len(docs)} documents from {len(docs) // 3} triplets")
     return EXIT_OK
 
 
@@ -243,18 +238,17 @@ def cmd_train(args) -> int:
         cfg = _training_config(args)
         model_cfg = _model_config(args)
         tr.check_training(model_cfg, cfg, objective)
-    inputs = [Path(args.corpus)]
+    aux_path = args.mlm_wikt or args.mlm_gram
+    docs = cp.load_source(args.corpus, args.kind)
     if objective:
-        inputs.append(Path(args.mlm_wikt or args.mlm_gram))
-    if args.subwords:
-        inputs.append(Path(args.subwords))
+        read_aux, build_items = tr.AUX_OBJECTIVES[objective]
+        aux_records = read_aux(aux_path)
+    subwords = SubwordModel.load(args.subwords) if args.subwords else None
+    inputs = [Path(p) for p in (args.corpus, aux_path, args.subwords) if p]
     out = write_run_manifest(args, inputs, args.seed,
                              [CHECKPOINT_NAME, SUBWORDS_NAME, TRAINLOG_NAME])
 
-    docs = cp.load_source(args.corpus, args.kind)
-    if args.subwords:
-        subwords = SubwordModel.load(args.subwords)
-    else:
+    if subwords is None:
         subwords = train_subwords(docs, args.vocab_size)
     subwords.save(out / SUBWORDS_NAME)
 
@@ -262,14 +256,9 @@ def cmd_train(args) -> int:
     if objective is None:
         params, tlog = tr.train_mlm(docs, subwords, model_cfg, cfg)
     else:
-        if objective == "definition":
-            entries = cp.parse_wiktionary_csv(args.mlm_wikt)
-            items = tr.build_definition_batch(entries, subwords)
-        else:
-            examples = [ex for ex in cp.load_grammar_examples(args.mlm_gram) if ex.tags]
-            items = tr.build_grammar_batch(examples, subwords)
-        params, tlog = tr.train_multi_objective(docs, subwords, items, objective,
-                                                model_cfg, cfg)
+        params, tlog = tr.train_multi_objective(docs, subwords,
+                                                build_items(aux_records, subwords),
+                                                objective, model_cfg, cfg)
     mdl.save_checkpoint(params, out / CHECKPOINT_NAME)
     tlog.write(out / TRAINLOG_NAME)
     final = tlog.steps[-1]["total"] if tlog.steps else float("nan")
@@ -291,11 +280,6 @@ def cmd_eval(args) -> int:
         with _settings_from_flags():
             pairs = ev.generate_toy_minimal_pairs(args.toy, args.n, args.seed)
         pairs_id = f"toy:{args.toy}:n{args.n}:seed{args.seed}"
-    inputs = [Path(args.checkpoint), Path(args.subwords)]
-    if args.pairs:
-        inputs.append(Path(args.pairs))
-    out = write_run_manifest(args, inputs, args.seed,
-                             ["report.json", "report.txt", "scores.jsonl"])
     params = mdl.load_checkpoint(args.checkpoint)
     subwords = SubwordModel.load(args.subwords)
     mdl.check_vocab_sizes(params.config, subwords, args.checkpoint, args.subwords)
@@ -303,6 +287,9 @@ def cmd_eval(args) -> int:
         loader = ev.load_blimp_pairs if args.blimp else ev.load_minimal_pairs
         pairs = loader(args.pairs)
         pairs_id = Path(args.pairs).name
+    inputs = [Path(p) for p in (args.checkpoint, args.subwords, args.pairs) if p]
+    out = write_run_manifest(args, inputs, args.seed,
+                             ["report.json", "report.txt", "scores.jsonl"])
     model_id = args.model_id or Path(args.checkpoint).name
     report = ev.evaluate_suite(params, subwords, pairs, model_id=model_id,
                                pairs_id=pairs_id)
@@ -322,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # corpus
-    p_corpus = sub.add_parser("corpus", help="inspect, mix, and convert corpora")
+    p_corpus = sub.add_parser("corpus", help="inspect and mix corpora")
     corpus_sub = p_corpus.add_subparsers(dest="subcommand", required=True)
 
     p_stats = corpus_sub.add_parser("stats", help="word counts per source")
@@ -336,12 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mix.add_argument("--manifest", required=True)
     p_mix.add_argument("--out-dir", required=True)
     p_mix.set_defaults(func=cmd_corpus_mix)
-
-    p_flat = corpus_sub.add_parser("flatten-triplets",
-                                   help="expand triplets into documents")
-    p_flat.add_argument("--input", required=True)
-    p_flat.add_argument("--out-dir", required=True)
-    p_flat.set_defaults(func=cmd_corpus_flatten)
 
     # synth
     p_synth = sub.add_parser("synth", help="prompt rendering and dataset synthesis")

@@ -27,7 +27,7 @@ from . import autograd as ag
 from . import model as mdl
 from .autograd import Tensor
 from .corpus import (Document, GrammarExample, WiktionaryEntry, corpus_digest,
-                     read_records, reading)
+                     load_grammar_examples, parse_wiktionary_csv, read_records, reading)
 from .model import ModelConfig, ParameterSet
 from .subwords import (SubwordModel, pack_examples, PAD_ID, CLS_ID, SEP_ID,
                        MASK_ID, NUM_SPECIALS)
@@ -326,9 +326,12 @@ def render_tag_answer(value: str | tuple[str, ...]) -> str:
 def build_grammar_batch(examples: Sequence[GrammarExample],
                         subwords: SubwordModel) -> list[AuxItem]:
     """One item per (sentence, tag): the decoder answers whether/where a
-    grammatical notion appears, as "notion <name> : <answer>"."""
+    grammatical notion appears, as "notion <name> : <answer>". An untagged
+    sentence gives no item and is not encoded."""
     items: list[AuxItem] = []
     for ex in examples:
+        if not ex.tags:
+            continue
         enc_ids = subwords.encode(ex.sentence)
         for tag in ex.tags:
             target = f"notion {tag.notion} : {render_tag_answer(tag.value)}"
@@ -340,6 +343,13 @@ def build_grammar_batch(examples: Sequence[GrammarExample],
                 dec_labels=tgt_ids + [SEP_ID],
             ))
     return items
+
+
+# each auxiliary objective: the reader of its flag's file, and the builder of
+# its items from what that reader returns. perfbench/tracing.py times calls by
+# replacing module attributes, so no function it times may be held here.
+AUX_OBJECTIVES = {"definition": (parse_wiktionary_csv, build_definition_batch),
+                  "grammar": (load_grammar_examples, build_grammar_batch)}
 
 
 def _pad_2d(rows: list[list[int]], fill: int) -> np.ndarray:
@@ -471,8 +481,9 @@ def check_training(model_cfg: ModelConfig, cfg: TrainingConfig,
                          f"{model_cfg.max_positions} < {cfg.context_size}")
     if objective is None:
         return
-    if objective not in ("definition", "grammar"):
-        raise ValueError(f"unknown objective {objective!r}")
+    if objective not in AUX_OBJECTIVES:
+        raise ValueError(f"unknown objective {objective!r}; "
+                         f"expected {' or '.join(map(repr, AUX_OBJECTIVES))}")
     if model_cfg.decoder_layers == 0:
         raise ValueError("multi-objective training requires decoder_layers > 0")
 
@@ -495,8 +506,8 @@ def train_multi_objective(docs: Sequence[Document], subwords: SubwordModel,
     over a per-cycle shuffle) and applies gradients of
     mlm_loss + aux_weight * aux_loss. The auxiliary pass always runs, so
     aux_weight = 0 reduces exactly to train_mlm for the encoder weights.
-    objective is "definition" (marked-token memory) or "grammar" (full
-    hidden-state memory); items longer than max_positions are dropped.
+    objective names an entry of AUX_OBJECTIVES, whose builder made
+    aux_items; items longer than max_positions are dropped.
     """
     check_training(model_cfg, cfg, objective)
     limit = model_cfg.max_positions

@@ -324,19 +324,6 @@ def test_corpus_stats_record_without_source_is_unconstrained(tmp_path, capsys):
     assert "unconstrained: 3 words\n" in out
 
 
-def test_corpus_flatten_triplets(tmp_path, capsys):
-    trip = tmp_path / "trip.jsonl"
-    cp.save_triplets(trip, [cp.TripletExample("a one", "a two", "a three"),
-                            cp.TripletExample("b one", "b two", "b three")])
-    out_dir = tmp_path / "flat"
-    code = cli.main(["corpus", "flatten-triplets", "--input", str(trip),
-                     "--out-dir", str(out_dir)])
-    assert code == cli.EXIT_OK
-    assert "wrote 6 documents from 2 triplets" in capsys.readouterr().out
-    docs = cp.load_documents(out_dir / "flattened.jsonl")
-    assert [d.text for d in docs[:3]] == ["a one", "a two", "a three"]
-
-
 # -- synth subcommands ----------------------------------------------------------
 
 def test_render_matches_library_output(capsys):
@@ -907,10 +894,6 @@ def _manifest_run_flags(command: str, tmp_path: Path, corpus_path: Path,
             {"path": str(corpus_path), "kind": "unconstrained", "budget": 30}]}),
             encoding="utf-8")
         return ["--manifest", str(manifest)]
-    if command == "corpus flatten-triplets":
-        trip = tmp_path / "trip.jsonl"
-        cp.save_triplets(trip, [cp.TripletExample("a b", "c d", "e f")])
-        return ["--input", str(trip)]
     if command == "synth generate":
         _canned_default_notion(tmp_path, per_notion=2, chunk=2, tag_count=1)
         return ["--mock", str(tmp_path), "--num-notions", "1", "--per-notion", "2",
@@ -921,8 +904,8 @@ def _manifest_run_flags(command: str, tmp_path: Path, corpus_path: Path,
             "--subwords", str(art / cli.SUBWORDS_NAME), "--toy", "subject-verb", "--n", "2"]
 
 
-@pytest.mark.parametrize("command", ["corpus stats", "corpus mix", "corpus flatten-triplets",
-                                     "synth generate", "train", "eval"])
+@pytest.mark.parametrize("command", ["corpus stats", "corpus mix", "synth generate", "train",
+                                     "eval"])
 def test_run_manifest_records_the_parsed_command(command, tmp_path, corpus_path,
                                                  eval_artifacts, capsys):
     out = tmp_path / "out"
@@ -968,11 +951,15 @@ BAD_INPUTS = {
     "documents": ("docs.jsonl", [_DOC, '{"source": "unconstrained", "text": 5}'], 2,
                   lambda bad, corpus, art, out: ["corpus", "stats", bad]),
     "triplets": ("trip.jsonl", ['{"sent0": 5, "sent1": "b c", "hard_neg": "d e"}'], 1,
-                 lambda bad, corpus, art, out: ["corpus", "flatten-triplets",
-                                                "--input", bad, "--out-dir", out]),
+                 lambda bad, corpus, art, out: ["corpus", "stats", bad, "--kind", "triplet",
+                                                "--out-dir", out]),
     "triplets-txt": ("trip.txt", ["a b", "", "c d"], 1,
-                     lambda bad, corpus, art, out: ["corpus", "flatten-triplets",
-                                                    "--input", bad, "--out-dir", out]),
+                     lambda bad, corpus, art, out: ["corpus", "stats", bad, "--kind", "triplet",
+                                                    "--out-dir", out]),
+    "mix-source": ("source.jsonl", [_DOC, '{"source": "unconstrained", "text": 5}'], 2,
+                   lambda bad, corpus, art, out: ["corpus", "mix", "--manifest",
+                                                  _mix_manifest(Path(out).parent, bad),
+                                                  "--out-dir", out]),
     "grammar": ("gram.jsonl", ['{"sentence": "a b", "topic": "t", "tags": []}',
                                '{"sentence": "a b", "topic": "t", "tags": [5]}'], 2,
                 lambda bad, corpus, art, out: ["train", "--mlm-gram", bad, "--corpus", corpus,
@@ -1013,6 +1000,7 @@ def test_malformed_record_is_data_error_naming_file_and_line(
     err = capsys.readouterr().err
     assert code == cli.EXIT_DATA, err
     assert f"data error: {bad}: " + (f"line {line}: bad " if line else "") in err
+    assert not (tmp_path / "o").exists()
 
 
 # -- one fault table for every input a command reads ----------------------------
@@ -1059,6 +1047,7 @@ def test_unreadable_input_is_data_error_naming_the_file_once(
     assert code == cli.EXIT_DATA, err
     assert err.startswith(f"data error: {bad}: "), err
     assert err.count(str(bad)) == 1, err
+    assert not (tmp_path / "o").exists()
 
 
 # case: argv naming a missing input, given that file and the eval artifacts
@@ -1068,8 +1057,6 @@ MISSING_INPUTS = {
     "eval-checkpoint": lambda missing, art, out: [
         "eval", "--checkpoint", missing, "--subwords", str(art / cli.SUBWORDS_NAME),
         "--toy", "subject-verb", "--n", "2", "--out-dir", out],
-    "flatten-triplets": lambda missing, art, out: [
-        "corpus", "flatten-triplets", "--input", missing, "--out-dir", out],
     "mix-source": lambda missing, art, out: [
         "corpus", "mix", "--manifest", _mix_manifest(Path(out).parent, missing),
         "--out-dir", out],

@@ -564,9 +564,16 @@ class TestGrammarBatch:
         assert items[1].dec_in == [CLS_ID] + t1
         assert items[2].dec_in == [CLS_ID] + t2
 
-    def test_untagged_sentences_contribute_nothing(self, grammar_subwords):
+    def test_untagged_sentences_contribute_nothing(self, grammar_subwords, monkeypatch):
         bare = GrammarExample(sentence="Just a sentence.", topic="art", tags=())
+        expected = tr.build_grammar_batch([TAGGED], grammar_subwords)
+        encoded = []
+        encode = grammar_subwords.encode
+        monkeypatch.setattr(grammar_subwords, "encode",
+                            lambda text: encoded.append(text) or encode(text))
         assert tr.build_grammar_batch([bare], grammar_subwords) == []
+        assert tr.build_grammar_batch([bare, TAGGED, bare], grammar_subwords) == expected
+        assert bare.sentence not in encoded
 
 
 class TestMultiObjective:
@@ -581,7 +588,8 @@ class TestMultiObjective:
                                      tiny_training())
 
     def test_unknown_objective(self, mo_docs, grammar_subwords):
-        with pytest.raises(ValueError, match="unknown objective"):
+        with pytest.raises(ValueError, match="^unknown objective 'tagging'; "
+                                             "expected 'definition' or 'grammar'$"):
             tr.train_multi_objective(mo_docs, grammar_subwords,
                                      self._grammar_items(grammar_subwords),
                                      "tagging",
@@ -852,7 +860,8 @@ class TestRunRules:
          "model max_positions is smaller than context_size: 64 < 65"),
         ({"decoder_layers": 1}, {"context_size": 65}, "grammar",
          "model max_positions is smaller than context_size: 64 < 65"),
-        ({"decoder_layers": 1}, {}, "tagging", "unknown objective 'tagging'"),
+        ({"decoder_layers": 1}, {}, "tagging",
+         "unknown objective 'tagging'; expected 'definition' or 'grammar'"),
         ({}, {}, "definition", "multi-objective training requires decoder_layers > 0"),
     ]
 
