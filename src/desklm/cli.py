@@ -1,16 +1,18 @@
 """Command line (`desklm` or `python -m desklm`): corpus, synth, train, eval.
 
-Every artifact-producing invocation reads and checks all its inputs, then
-writes a run manifest (resolved flags, input hashes, seed, artifact names,
-tool version) into its output directory, and only then starts its
-long-running work, so any run can be replayed exactly. Exit codes:
-0 success, 1 usage error, 2 data error, 3 runtime error (a failed
-completion, or a non-finite loss or gradient). Flags become settings before
-any input is read: defaults and rules are the library's, and a setting it
-rejects is a usage error. A missing input is a data error with the system's
-message; a malformed or unreadable one is
-"<path>: [line <n>: ]bad <format>: <reason>". Either exits before anything
-is written, except in `synth generate`, which reads responses as it runs.
+Every artifact-producing invocation reads its inputs, builds its tokenizer
+(`train`), checks every rule of the run (`train` and `eval` ask the library),
+then writes a run manifest (resolved flags, input hashes, seed, artifact
+names, tool version) into its output directory, and only then trains,
+scores or starts its other long-running work, so any run can be replayed
+exactly. Exit codes: 0 success, 1 usage error, 2 data error, 3 runtime
+error (a failed completion, or a non-finite loss or gradient). Flags become
+settings before any input is read: defaults and rules are the library's,
+and a setting it rejects is a usage error. A missing input is a data error
+with the system's message; a malformed or unreadable one is
+"<path>: [line <n>: ]bad <format>: <reason>". Either, and any other data
+error a rule finds, exits before anything is written, except in
+`synth generate`, which reads responses as it runs.
 """
 
 from __future__ import annotations
@@ -243,22 +245,16 @@ def cmd_train(args) -> int:
     if objective:
         read_aux, build_items = tr.AUX_OBJECTIVES[objective]
         aux_records = read_aux(aux_path)
-    subwords = SubwordModel.load(args.subwords) if args.subwords else None
+    subwords = (SubwordModel.load(args.subwords) if args.subwords
+                else train_subwords(docs, args.vocab_size))
+    run = tr.TrainingRun(docs, subwords, replace(model_cfg, vocab_size=subwords.vocab_size),
+                         cfg, objective=objective,
+                         aux_items=build_items(aux_records, subwords) if objective else ())
     inputs = [Path(p) for p in (args.corpus, aux_path, args.subwords) if p]
     out = write_run_manifest(args, inputs, args.seed,
                              [CHECKPOINT_NAME, SUBWORDS_NAME, TRAINLOG_NAME])
-
-    if subwords is None:
-        subwords = train_subwords(docs, args.vocab_size)
     subwords.save(out / SUBWORDS_NAME)
-
-    model_cfg = replace(model_cfg, vocab_size=subwords.vocab_size)
-    if objective is None:
-        params, tlog = tr.train_mlm(docs, subwords, model_cfg, cfg)
-    else:
-        params, tlog = tr.train_multi_objective(docs, subwords,
-                                                build_items(aux_records, subwords),
-                                                objective, model_cfg, cfg)
+    params, tlog = run.train()
     mdl.save_checkpoint(params, out / CHECKPOINT_NAME)
     tlog.write(out / TRAINLOG_NAME)
     final = tlog.steps[-1]["total"] if tlog.steps else float("nan")
@@ -287,6 +283,7 @@ def cmd_eval(args) -> int:
         loader = ev.load_blimp_pairs if args.blimp else ev.load_minimal_pairs
         pairs = loader(args.pairs)
         pairs_id = Path(args.pairs).name
+    ev.scorable_pairs(params, subwords, pairs)
     inputs = [Path(p) for p in (args.checkpoint, args.subwords, args.pairs) if p]
     out = write_run_manifest(args, inputs, args.seed,
                              ["report.json", "report.txt", "scores.jsonl"])

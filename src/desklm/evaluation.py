@@ -141,18 +141,11 @@ def _sentences(pairs: Sequence[MinimalPair]) -> list[str]:
     return list(dict.fromkeys(s for p in pairs for s in (p.good, p.bad)))
 
 
-def evaluate_suite(params: ParameterSet, subwords: SubwordModel,
-                   pairs: Sequence[MinimalPair], model_id: str = "",
-                   pairs_id: str = "") -> EvalReport:
-    """Score every pair, each distinct sentence once.
-
-    A pair with a sentence longer than the model's positions is skipped
-    and counted as such; a phenomenon whose pairs were all skipped is left
-    out of the report. Raises when every pair is skipped. The report's
-    `scores` hold one record per pair, in input order: good, bad,
-    phenomenon, then pll_good, pll_bad, margin and correct, or
-    `"skipped": true` for a skipped pair.
-    """
+def scorable_pairs(params: ParameterSet, subwords: SubwordModel,
+                   pairs: Sequence[MinimalPair]) -> list[MinimalPair]:
+    """The pairs whose sentences both fit the model's positions, in input
+    order. Raises unless the model and tokenizer have one vocabulary size,
+    there are pairs, and at least one of them fits."""
     mdl.check_vocab_sizes(params.config, subwords)
     if not pairs:
         raise ValueError("no pairs to evaluate")
@@ -162,6 +155,22 @@ def evaluate_suite(params: ParameterSet, subwords: SubwordModel,
     if not scored:
         raise ValueError(f"all {len(pairs)} pairs have a sentence longer than "
                          f"the model's {limit} positions")
+    return scored
+
+
+def evaluate_suite(params: ParameterSet, subwords: SubwordModel,
+                   pairs: Sequence[MinimalPair], model_id: str = "",
+                   pairs_id: str = "") -> EvalReport:
+    """Score every pair, each distinct sentence once.
+
+    Runs `scorable_pairs` first and raises as it does: a pair with a
+    sentence longer than the model's positions is skipped and counted as
+    such, and a phenomenon whose pairs were all skipped is left out of the
+    report. The report's `scores` hold one record per pair, in input order:
+    good, bad, phenomenon, then pll_good, pll_bad, margin and correct, or
+    `"skipped": true` for a skipped pair.
+    """
+    scored = scorable_pairs(params, subwords, pairs)
     pll = {s: pseudo_log_likelihood(params, subwords, s) for s in _sentences(scored)}
     scores = []
     for pair in pairs:

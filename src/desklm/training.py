@@ -1,6 +1,11 @@
 """Masking, optimization schedule, and one training loop for MLM with an
 optional auxiliary objective.
 
+Building a `TrainingRun` checks every rule of a run before any work, and
+only its `train()` takes a step. `train_mlm` and `train_multi_objective`
+build one, and so does `desklm train` once its inputs are read and its
+tokenizer built, before it writes anything.
+
 All randomness is drawn from per-purpose generators seeded as
 default_rng([seed, purpose]): 1 = example shuffling, 2 = MLM masking,
 3 = MLM-pass dropout, 4 = auxiliary batch order, 5 = auxiliary dropout.
@@ -239,22 +244,6 @@ class TrainLog:
         return out
 
 
-def _run_manifest(objective: str, docs: Sequence[Document], n_examples: int,
-                  total_steps: int, model_cfg: ModelConfig,
-                  cfg: TrainingConfig, mcfg: MaskingConfig) -> dict:
-    return {
-        "objective": objective,
-        "model_config": asdict(model_cfg),
-        "training_config": asdict(cfg),
-        "masking_config": asdict(mcfg),
-        "corpus_hash": corpus_digest(docs),
-        "n_documents": len(docs),
-        "n_examples": n_examples,
-        "total_steps": total_steps,
-        "seed": cfg.seed,
-    }
-
-
 def _mlm_step_loss(params: ParameterSet, batch: np.ndarray, mcfg: MaskingConfig,
                    mask_rng: np.random.Generator,
                    dropout_rng: np.random.Generator | None) -> Tensor | None:
@@ -393,83 +382,103 @@ def _aux_batches(items: Sequence[AuxItem], size: int,
         yield list(itertools.islice(stream, size))
 
 
-def _train(docs: Sequence[Document], subwords: SubwordModel,
-           model_cfg: ModelConfig, cfg: TrainingConfig, mcfg: MaskingConfig | None,
-           objective: str | None = None,
-           aux_items: Sequence[AuxItem] = ()) -> tuple[ParameterSet, TrainLog]:
+class TrainingRun:
     """MLM pretraining, plus one auxiliary batch per step when `objective`
-    is given; deterministic given cfg.seed.
+    is given; deterministic given cfg.seed. The constructor runs every rule
+    before any work: `check_training`, `model.check_vocab_sizes`, a corpus
+    that packs to at least one example, a schedule whose warm-up ends before
+    its last step and, with an objective, an item that fits the model's
+    positions (longer ones are dropped)."""
 
-    A batch whose masking selects no position takes no step. Each step's
-    gradient is mlm + aux_weight * aux; the auxiliary pass runs even at
-    aux_weight 0, on its own rng streams.
-    """
-    mcfg = mcfg or MaskingConfig()
-    mdl.check_vocab_sizes(model_cfg, subwords)
-    if not docs:
-        raise ValueError("corpus is empty")
-    packed = pack_examples(subwords, docs, cfg.context_size)
-    n = packed.shape[0]
-    if n == 0:
-        raise ValueError("corpus packed to zero examples")
-    total_steps = cfg.epochs * math.ceil(n / cfg.batch_size)
-    _check_schedule(cfg, total_steps)
-    manifest = _run_manifest(f"mlm+{objective}" if objective else "mlm", docs, n,
-                             total_steps, model_cfg, cfg, mcfg)
-    if objective:
-        manifest["n_aux_items"] = len(aux_items)
-        manifest["aux_weight"] = cfg.aux_weight
-    tlog = TrainLog(manifest)
+    def __init__(self, docs: Sequence[Document], subwords: SubwordModel,
+                 model_cfg: ModelConfig, cfg: TrainingConfig,
+                 mcfg: MaskingConfig | None = None, objective: str | None = None,
+                 aux_items: Sequence[AuxItem] = ()):
+        check_training(model_cfg, cfg, objective)
+        mdl.check_vocab_sizes(model_cfg, subwords)
+        if not docs:
+            raise ValueError("corpus is empty")
+        self.packed = pack_examples(subwords, docs, cfg.context_size)
+        n = len(self.packed)
+        if n == 0:
+            raise ValueError("corpus packed to zero examples")
+        self.total_steps = cfg.epochs * math.ceil(n / cfg.batch_size)
+        _check_schedule(cfg, self.total_steps)
+        limit = model_cfg.max_positions
+        self.aux_items = [it for it in aux_items
+                          if len(it.enc_ids) <= limit and len(it.dec_in) <= limit]
+        if len(self.aux_items) < len(aux_items):
+            log.info("dropped %d over-length auxiliary items",
+                     len(aux_items) - len(self.aux_items))
+        if objective and not self.aux_items:
+            raise ValueError("no usable auxiliary items")
+        self.model_cfg, self.cfg, self.objective = model_cfg, cfg, objective
+        self.mcfg = mcfg or MaskingConfig()
+        self.manifest = {
+            "objective": f"mlm+{objective}" if objective else "mlm",
+            "model_config": asdict(model_cfg), "training_config": asdict(cfg),
+            "masking_config": asdict(self.mcfg), "corpus_hash": corpus_digest(docs),
+            "n_documents": len(docs), "n_examples": n, "total_steps": self.total_steps,
+            "seed": cfg.seed}
+        if objective:
+            self.manifest.update(n_aux_items=len(self.aux_items), aux_weight=cfg.aux_weight)
 
-    params = mdl.init_params(model_cfg)
-    state = AdamWState(params)
+    def train(self) -> tuple[ParameterSet, TrainLog]:
+        """Take every step; return the encoder, without a decoder, and the log.
+        A batch whose masking selects no position takes no step. Each step's
+        gradient is mlm + aux_weight * aux; the auxiliary pass runs even at
+        aux_weight 0, on its own rng streams."""
+        cfg, mcfg, objective, packed = self.cfg, self.mcfg, self.objective, self.packed
+        tlog = TrainLog(self.manifest)
+        params = mdl.init_params(self.model_cfg)
+        state = AdamWState(params)
 
-    def rng(stream: int) -> np.random.Generator:
-        return np.random.default_rng([cfg.seed, stream])
+        def rng(stream: int) -> np.random.Generator:
+            return np.random.default_rng([cfg.seed, stream])
 
-    shuffle_rng = rng(_STREAM_SHUFFLE)
-    mask_rng = rng(_STREAM_MASK)
-    drop_rng = rng(_STREAM_DROPOUT)
-    if objective:
-        aux_batches = _aux_batches(aux_items, cfg.batch_size, rng(_STREAM_AUX_ORDER))
-        aux_drop = rng(_STREAM_AUX_DROPOUT)
+        shuffle_rng = rng(_STREAM_SHUFFLE)
+        mask_rng = rng(_STREAM_MASK)
+        drop_rng = rng(_STREAM_DROPOUT)
+        if objective:
+            aux_batches = _aux_batches(self.aux_items, cfg.batch_size, rng(_STREAM_AUX_ORDER))
+            aux_drop = rng(_STREAM_AUX_DROPOUT)
 
-    lam = cfg.aux_weight
-    shown = objective or "mlm"
-    step = 0
-    for epoch in range(cfg.epochs):
-        order = shuffle_rng.permutation(n)
-        epoch_losses = []
-        for lo in range(0, n, cfg.batch_size):
-            batch = packed[order[lo: lo + cfg.batch_size]]
-            mlm_loss = _mlm_step_loss(params, batch, mcfg, mask_rng, drop_rng)
-            if mlm_loss is None:
-                continue
-            grads = mdl.backward(params, mlm_loss)
-            losses = {"mlm": float(mlm_loss.data)}
-            # free the graph now, not when the next step rebinds the name
-            del mlm_loss
-            total = losses["mlm"]
-            if objective:
-                aux_loss = _aux_step_loss(params, next(aux_batches), aux_drop)
-                g_aux = mdl.backward(params, aux_loss)
-                losses[objective] = float(aux_loss.data)
-                del aux_loss
-                if lam != 0.0:
-                    # in place: each gradient array is this step's own
-                    for k, g in g_aux.items():
-                        g *= lam
-                        grads[k] += g
-                total += lam * losses[objective]
-            lr = lr_at(step, cfg, total_steps)
-            adamw_step(params, grads, state, lr, cfg)
-            tlog.append(step, lr, losses, total)
-            epoch_losses.append(losses[shown])
-            step += 1
-        if epoch_losses:
-            log.info("epoch %d/%d: mean %s loss %.4f",
-                     epoch + 1, cfg.epochs, shown, sum(epoch_losses) / len(epoch_losses))
-    return params, tlog
+        lam = cfg.aux_weight
+        shown = objective or "mlm"
+        step = 0
+        for epoch in range(cfg.epochs):
+            order = shuffle_rng.permutation(len(packed))
+            epoch_losses = []
+            for lo in range(0, len(packed), cfg.batch_size):
+                batch = packed[order[lo: lo + cfg.batch_size]]
+                mlm_loss = _mlm_step_loss(params, batch, mcfg, mask_rng, drop_rng)
+                if mlm_loss is None:
+                    continue
+                grads = mdl.backward(params, mlm_loss)
+                losses = {"mlm": float(mlm_loss.data)}
+                # free the graph now, not when the next step rebinds the name
+                del mlm_loss
+                total = losses["mlm"]
+                if objective:
+                    aux_loss = _aux_step_loss(params, next(aux_batches), aux_drop)
+                    g_aux = mdl.backward(params, aux_loss)
+                    losses[objective] = float(aux_loss.data)
+                    del aux_loss
+                    if lam != 0.0:
+                        # in place: each gradient array is this step's own
+                        for k, g in g_aux.items():
+                            g *= lam
+                            grads[k] += g
+                    total += lam * losses[objective]
+                lr = lr_at(step, cfg, self.total_steps)
+                adamw_step(params, grads, state, lr, cfg)
+                tlog.append(step, lr, losses, total)
+                epoch_losses.append(losses[shown])
+                step += 1
+            if epoch_losses:
+                log.info("epoch %d/%d: mean %s loss %.4f",
+                         epoch + 1, cfg.epochs, shown, sum(epoch_losses) / len(epoch_losses))
+        return mdl.strip_decoder(params), tlog
 
 
 def check_training(model_cfg: ModelConfig, cfg: TrainingConfig,
@@ -480,6 +489,9 @@ def check_training(model_cfg: ModelConfig, cfg: TrainingConfig,
         raise ValueError(f"model max_positions is smaller than context_size: "
                          f"{model_cfg.max_positions} < {cfg.context_size}")
     if objective is None:
+        if model_cfg.decoder_layers:
+            raise ValueError(f"MLM-only training requires decoder_layers = 0, "
+                             f"got {model_cfg.decoder_layers}")
         return
     if objective not in AUX_OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}; "
@@ -492,8 +504,7 @@ def train_mlm(docs: Sequence[Document], subwords: SubwordModel,
               model_cfg: ModelConfig, cfg: TrainingConfig,
               mcfg: MaskingConfig | None = None) -> tuple[ParameterSet, TrainLog]:
     """Masked-language-model pretraining, deterministic given cfg.seed."""
-    check_training(model_cfg, cfg)
-    return _train(docs, subwords, model_cfg, cfg, mcfg)
+    return TrainingRun(docs, subwords, model_cfg, cfg, mcfg).train()
 
 
 def train_multi_objective(docs: Sequence[Document], subwords: SubwordModel,
@@ -509,13 +520,4 @@ def train_multi_objective(docs: Sequence[Document], subwords: SubwordModel,
     objective names an entry of AUX_OBJECTIVES, whose builder made
     aux_items; items longer than max_positions are dropped.
     """
-    check_training(model_cfg, cfg, objective)
-    limit = model_cfg.max_positions
-    usable = [it for it in aux_items
-              if len(it.enc_ids) <= limit and len(it.dec_in) <= limit]
-    if len(usable) < len(aux_items):
-        log.info("dropped %d over-length auxiliary items", len(aux_items) - len(usable))
-    if not usable:
-        raise ValueError("no usable auxiliary items")
-    params, tlog = _train(docs, subwords, model_cfg, cfg, mcfg, objective, usable)
-    return mdl.strip_decoder(params), tlog
+    return TrainingRun(docs, subwords, model_cfg, cfg, mcfg, objective, aux_items).train()

@@ -12,6 +12,7 @@ import logging
 import math
 import struct
 from collections import Counter
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -19,15 +20,14 @@ import numpy as np
 
 from desklm import autograd as ag
 from desklm import model as mdl
-from desklm.corpus import Document
+from desklm.corpus import Document, corpus_digest
 from desklm.model import ModelConfig, ParameterSet
 from desklm.subwords import (NUM_SPECIALS, SPECIAL_TOKENS, SubwordModel, MASK_ID,
                              _word_forms, pack_examples)
 from desklm.training import (_STREAM_AUX_DROPOUT, _STREAM_AUX_ORDER, _STREAM_DROPOUT,
                              _STREAM_MASK, _STREAM_SHUFFLE, AdamWState, AuxItem,
                              MaskingConfig, TrainingConfig, TrainLog, _check_schedule,
-                             _pad_2d, _run_manifest, adamw_step, apply_mlm_masking,
-                             lr_at)
+                             _pad_2d, adamw_step, apply_mlm_masking, lr_at)
 
 log = logging.getLogger(__name__)
 
@@ -423,6 +423,23 @@ def fd_check_params(params: mdl.ParameterSet, loss_fn, grads: dict,
             if err > rel_tol * max(abs(analytic), abs(fd)) and err > abs_floor:
                 failures.append(f"{name}[{i}]: analytic {analytic:.3e} fd {fd:.3e}")
     return failures
+
+
+def _run_manifest(objective: str, docs: Sequence[Document], n_examples: int,
+                  total_steps: int, model_cfg: ModelConfig,
+                  cfg: TrainingConfig, mcfg: MaskingConfig) -> dict:
+    """The train-log manifest both reference loops wrote."""
+    return {
+        "objective": objective,
+        "model_config": asdict(model_cfg),
+        "training_config": asdict(cfg),
+        "masking_config": asdict(mcfg),
+        "corpus_hash": corpus_digest(docs),
+        "n_documents": len(docs),
+        "n_examples": n_examples,
+        "total_steps": total_steps,
+        "seed": cfg.seed,
+    }
 
 
 def reference_train_mlm(docs: Sequence[Document], subwords: SubwordModel,

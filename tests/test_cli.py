@@ -554,18 +554,6 @@ def test_train_vocab_size_with_subwords_is_usage_error(tmp_path, corpus_path, ml
     assert not (tmp_path / "o").exists()
 
 
-def test_train_default_warmup_on_tiny_corpus_is_data_error(tmp_path, corpus_path,
-                                                          monkeypatch, capsys):
-    def never(*args, **kwargs):
-        raise AssertionError("ran the encoder before the schedule check")
-    monkeypatch.setattr(mdl, "encoder_forward", never)
-    code = cli.main(["train", "--mlm", "--corpus", str(corpus_path),
-                     "--out-dir", str(tmp_path / "run"), "--epochs", "2"]
-                    + TINY_MODEL_FLAGS)
-    assert code == cli.EXIT_DATA
-    assert "must exceed warmup_steps (4000)" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("flags, message", [
     (["--epochs", "5", "--learning-rate", "1e6"], "non-finite gradient"),
     (["--epochs", "2", "--learning-rate", "1e300"], "loss is not finite"),
@@ -870,17 +858,6 @@ def test_eval_missing_checkpoint_is_data_error(tmp_path, eval_artifacts, capsys)
     assert "data error" in capsys.readouterr().err
 
 
-def test_eval_every_pair_over_length_is_data_error(tmp_path, eval_artifacts, capsys):
-    long = " ".join(["cat"] * 70)
-    pairs_path = tmp_path / "pairs.jsonl"
-    ev.save_minimal_pairs([ev.MinimalPair(long, "the cat sleeps", "sv")], pairs_path)
-    code = cli.main(["eval", "--checkpoint", str(eval_artifacts / cli.CHECKPOINT_NAME),
-                     "--subwords", str(eval_artifacts / cli.SUBWORDS_NAME),
-                     "--pairs", str(pairs_path), "--out-dir", str(tmp_path / "o")])
-    assert code == cli.EXIT_DATA
-    assert "longer than the model's 64 positions" in capsys.readouterr().err
-
-
 # -- run manifests ----------------------------------------------------------------
 
 def _manifest_run_flags(command: str, tmp_path: Path, corpus_path: Path,
@@ -1078,4 +1055,51 @@ def test_missing_input_is_data_error_before_the_out_dir(case, tmp_path, eval_art
     err = capsys.readouterr().err
     assert code == cli.EXIT_DATA, err
     assert err == f"data error: [Errno 2] No such file or directory: '{missing}'\n"
+    assert not (tmp_path / "o").exists()
+
+
+def _dictionary_without_headword(directory: Path) -> str:
+    path = directory / "dict.csv"
+    path.write_text("word,pos,definition,example_1\n"
+                    "zorp,noun,a kind of tool,The cat was used twice.\n", encoding="utf-8")
+    return str(path)
+
+
+def _pairs_over_length(directory: Path) -> str:
+    path = directory / "pairs.jsonl"
+    ev.save_minimal_pairs([ev.MinimalPair(" ".join(["cat"] * 70), "the cat sleeps", "sv")],
+                          path)
+    return str(path)
+
+
+# case: (argv, given a directory for its inputs, the shared corpus and eval
+# artifacts; the data error a rule of the run finds once every input is read)
+FOUND_BEFORE_WRITING = {
+    "schedule": (lambda d, corpus, art, out: [
+        "train", "--mlm", "--corpus", corpus, "--out-dir", out, "--epochs", "2"]
+        + TINY_MODEL_FLAGS, "data error: total_steps (18) must exceed warmup_steps (4000)"),
+    "no-usable-items": (lambda d, corpus, art, out: [
+        "train", "--mlm-wikt", _dictionary_without_headword(d), "--corpus", corpus,
+        "--out-dir", out] + AUX_FLAGS, "data error: no usable auxiliary items"),
+    "vocab-size": (lambda d, corpus, art, out: [
+        "train", "--mlm", "--corpus", corpus, "--out-dir", out, "--vocab-size", "5000"]
+        + _NO_VOCAB_FLAGS, "data error: corpus supports a vocabulary of at most"),
+    "pairs-over-length": (lambda d, corpus, art, out: _eval_flags(art, out) + [
+        "--subwords", str(art / cli.SUBWORDS_NAME), "--pairs", _pairs_over_length(d)],
+        "data error: all 1 pairs have a sentence longer than the model's 64 positions"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOUND_BEFORE_WRITING))
+def test_data_error_of_a_run_is_found_before_the_out_dir(case, tmp_path, corpus_path,
+                                                         eval_artifacts, monkeypatch,
+                                                         capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("ran the encoder before checking the run")
+    monkeypatch.setattr(mdl, "encoder_forward", never)
+    argv, message = FOUND_BEFORE_WRITING[case]
+    code = cli.main(argv(tmp_path, str(corpus_path), eval_artifacts, str(tmp_path / "o")))
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_DATA, err
+    assert message in err
     assert not (tmp_path / "o").exists()

@@ -863,6 +863,8 @@ class TestRunRules:
         ({"decoder_layers": 1}, {}, "tagging",
          "unknown objective 'tagging'; expected 'definition' or 'grammar'"),
         ({}, {}, "definition", "multi-objective training requires decoder_layers > 0"),
+        ({"decoder_layers": 1}, {}, None,
+         "MLM-only training requires decoder_layers = 0, got 1"),
     ]
 
     @pytest.fixture
