@@ -1,17 +1,34 @@
 """Reverse-mode automatic differentiation over float64 numpy arrays.
 
-Each op builds a Tensor node holding the forward value and a closure that
-maps the output gradient to each input's gradient (hand-derived, exact)
-and hands it to `Tensor._accumulate`, which keeps or drops and reduces it.
-`backward` runs an iterative topological sweep from a scalar loss; every
-analytic formula here is checked against finite differences in the tests.
+A Tensor holds a forward value (`data`) and a graph `Node`: its shape,
+gradient, parents and backward closure. Nodes never hold arrays, so the
+graph keeps alive only what some closure captured, and any other
+intermediate is freed as soon as the model code drops its Tensor. Each
+op's closure maps the output gradient to each input's gradient
+(hand-derived, exact) and hands it to `Node.accumulate`, which keeps or
+drops and reduces it; the closure captures its parents' nodes plus only
+the arrays its formula reads:
+
+    matmul          both operands
+    layer_norm      the normalized input, the inverse deviation, the gain
+    gelu            the input and its tanh
+    softmax_masked  the output
+    dropout         the keep mask
+    embedding,
+    gather_rows     the index
+    cross_entropy   the log-probabilities, kept rows and labels
+
+add, scale, reshape and swapaxes keep no array. Every tensor that needs
+no gradient shares one constant node. `backward` runs an iterative
+topological sweep from a scalar loss; every analytic formula here is
+checked against finite differences in the tests.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -30,18 +47,55 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-class Tensor:
-    """A float64 array plus the bookkeeping needed for backpropagation."""
+class Node:
+    """A tensor's place in the graph: everything backward needs but the value."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
+    __slots__ = ("shape", "grad", "requires_grad", "parents", "backward_fn")
 
-    def __init__(self, data, requires_grad: bool = False,
-                 parents: tuple = (), backward_fn: Callable | None = None):
-        self.data = np.asarray(data, dtype=np.float64)
+    def __init__(self, shape: tuple[int, ...] | None, requires_grad: bool = True,
+                 parents: tuple[Node, ...] = (), backward_fn: Callable | None = None):
+        self.shape = shape
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._parents = parents
-        self._backward_fn = backward_fn
+        self.parents = parents
+        self.backward_fn = backward_fn
+
+    def accumulate(self, g: np.ndarray) -> None:
+        """Add g to this node's gradient; every op's backward calls this.
+
+        A node that does not require a gradient drops g. A g of another
+        shape is summed over the axes broadcasting expanded, or raises. The
+        first g is kept, not copied, and later ones are summed into it in
+        place. So the node owns g: a closure hands any one array to at
+        most one input, and only after its own last read of it.
+        """
+        if not self.requires_grad:
+            return
+        if g.shape != self.shape:
+            g = _unbroadcast(g, self.shape)
+        if self.grad is None:
+            self.grad = g
+        else:
+            self.grad += g
+
+
+# the node of every tensor that needs no gradient; it never keeps one
+_CONSTANT = Node(None, requires_grad=False)
+
+
+class Tensor:
+    """A float64 array plus its graph node.
+
+    `grad`, `requires_grad` and `_backward_fn` are the node's;
+    `_backward_fn` is settable, so a profiler can wrap an op's backward.
+    Tensors that need no gradient share one node, so set neither on them.
+    """
+
+    __slots__ = ("data", "node")
+
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = np.asarray(data, dtype=np.float64)
+        self.node = Node(self.data.shape) if requires_grad else _CONSTANT
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -51,35 +105,40 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    def _accumulate(self, g: np.ndarray) -> None:
-        """Add g to this tensor's gradient; every op's backward calls this.
+    @property
+    def requires_grad(self) -> bool:
+        return self.node.requires_grad
 
-        A tensor that does not require a gradient drops g. A g of another
-        shape is summed over the axes broadcasting expanded, or raises. The
-        first g is kept, not copied, and later ones are summed into it in
-        place. So the tensor owns g: a closure hands any one array to at
-        most one input, and only after its own last read of it.
-        """
-        if not self.requires_grad:
-            return
-        if g.shape != self.data.shape:
-            g = _unbroadcast(g, self.data.shape)
-        if self.grad is None:
-            self.grad = g
-        else:
-            self.grad += g
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self.node.grad
+
+    @grad.setter
+    def grad(self, g: np.ndarray | None) -> None:
+        self.node.grad = g
+
+    @property
+    def _backward_fn(self) -> Callable | None:
+        return self.node.backward_fn
+
+    @_backward_fn.setter
+    def _backward_fn(self, fn: Callable | None) -> None:
+        self.node.backward_fn = fn
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-def _make(data: np.ndarray, parents: Sequence[Tensor],
+def _make(data: np.ndarray, parents: Sequence[Node],
           backward_fn: Callable) -> Tensor:
-    req = _GRAD_ENABLED and any(p.requires_grad for p in parents)
-    if not req:
-        return Tensor(data)
-    return Tensor(data, requires_grad=True, parents=tuple(parents),
-                  backward_fn=backward_fn)
+    """The op's output; it gets a node of its own when some parent needs a
+    gradient, and that node keeps only those parents."""
+    out = Tensor(data)
+    if _GRAD_ENABLED:
+        parents = tuple(p for p in parents if p.requires_grad)
+        if parents:
+            out.node = Node(out.data.shape, parents=parents, backward_fn=backward_fn)
+    return out
 
 
 def backward(root: Tensor) -> None:
@@ -93,9 +152,9 @@ def backward(root: Tensor) -> None:
     if not root.requires_grad:
         raise ValueError("root does not require gradients")
     # iterative postorder; recursion would overflow on deep graphs
-    topo: list[Tensor] = []
+    topo: list[Node] = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[Node, bool]] = [(root.node, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -105,21 +164,22 @@ def backward(root: Tensor) -> None:
             continue
         seen.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
+        for p in node.parents:
+            if id(p) not in seen:
                 stack.append((p, False))
-    root.grad = np.ones_like(root.data)
-    # each node is dropped once its closure has run, so its output, closure
-    # and gradient are freed as the sweep passes; leaves keep their .grad
+    root.node.grad = np.ones_like(root.data)
+    # each node is dropped once its closure has run, so its closure (with
+    # the arrays it captured) and its gradient are freed as the sweep
+    # passes; leaves keep their .grad
     while topo:
         node = topo.pop()
-        if node._backward_fn is None:
+        if node.backward_fn is None:
             continue
         if node.grad is not None:
-            node._backward_fn(node.grad)
+            node.backward_fn(node.grad)
         node.grad = None
-        node._backward_fn = _swept
-        node._parents = ()
+        node.backward_fn = _swept
+        node.parents = ()
 
 
 def _swept(g: np.ndarray) -> None:
@@ -145,22 +205,24 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
+    an, bn = a.node, b.node
 
     def bwd(g):
-        a._accumulate(g)
+        an.accumulate(g)
         # a kept g as its first gradient: b gets a copy, or a fresh sum of g
-        b._accumulate(g.copy() if a.grad is g and b.data.shape == g.shape else g)
+        bn.accumulate(g.copy() if an.grad is g and bn.shape == g.shape else g)
 
-    return _make(out, (a, b), bwd)
+    return _make(out, (an, bn), bwd)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     out = a.data * s
+    an = a.node
 
     def bwd(g):
-        a._accumulate(g * s)
+        an.accumulate(g * s)
 
-    return _make(out, (a,), bwd)
+    return _make(out, (an,), bwd)
 
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -175,54 +237,61 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         return _matmul_rows(a, b, bias)
     if bias is not None:
         raise ValueError("matmul: a bias needs a 2-D right operand")
-    out = a.data @ b.data
+    ad, bd = a.data, b.data
+    an, bn = a.node, b.node
+    out = ad @ bd
 
     def bwd(g):
-        a._accumulate(g @ np.swapaxes(b.data, -1, -2))
-        b._accumulate(np.swapaxes(a.data, -1, -2) @ g)
+        an.accumulate(g @ np.swapaxes(bd, -1, -2))
+        bn.accumulate(np.swapaxes(ad, -1, -2) @ g)
 
-    return _make(out, (a, b), bwd)
+    return _make(out, (an, bn), bwd)
 
 
 def _matmul_rows(a: Tensor, b: Tensor, bias: Tensor | None) -> Tensor:
-    k, n = b.data.shape
-    if a.data.shape[-1] != k:
+    ad, bd = a.data, b.data
+    k, n = bd.shape
+    if ad.shape[-1] != k:
         # checked here: the flattening reshape alone could misreport it
-        raise ValueError(f"matmul: shapes {a.data.shape} and {b.data.shape} "
+        raise ValueError(f"matmul: shapes {ad.shape} and {bd.shape} "
                          "do not align")
-    lead = a.data.shape[:-1]
-    out = (a.data.reshape(-1, k) @ b.data).reshape(*lead, n)
+    lead = ad.shape[:-1]
+    out = (ad.reshape(-1, k) @ bd).reshape(*lead, n)
     if bias is not None:
         out += bias.data
+    an, bn = a.node, b.node
+    biasn = None if bias is None else bias.node
 
     def bwd(g):
         g2 = g.reshape(-1, n)
-        a._accumulate((g2 @ b.data.T).reshape(a.data.shape))
+        an.accumulate((g2 @ bd.T).reshape(ad.shape))
         # reshaped again here rather than kept: a copy for a strided a
-        b._accumulate(a.data.reshape(-1, k).T @ g2)
-        if bias is not None:
+        bn.accumulate(ad.reshape(-1, k).T @ g2)
+        if biasn is not None:
             # the unflattened g, as add's backward sums it; last: bias may keep g
-            bias._accumulate(g)
+            biasn.accumulate(g)
 
-    return _make(out, (a, b) if bias is None else (a, b, bias), bwd)
+    return _make(out, (an, bn) if biasn is None else (an, bn, biasn), bwd)
 
 
 def swapaxes(a: Tensor, axis1: int, axis2: int) -> Tensor:
     out = np.swapaxes(a.data, axis1, axis2)
+    an = a.node
 
     def bwd(g):
-        a._accumulate(np.swapaxes(g, axis1, axis2))
+        an.accumulate(np.swapaxes(g, axis1, axis2))
 
-    return _make(out, (a,), bwd)
+    return _make(out, (an,), bwd)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = a.data.reshape(shape)
+    an = a.node
 
     def bwd(g):
-        a._accumulate(g.reshape(a.data.shape))
+        an.accumulate(g.reshape(an.shape))
 
-    return _make(out, (a,), bwd)
+    return _make(out, (an,), bwd)
 
 
 # -- indexing ---------------------------------------------------------------
@@ -231,18 +300,19 @@ def _gather(a: Tensor, index: np.ndarray) -> Tensor:
     """out[...] = a[index[...]]; backward scatter-adds into a's rows."""
     index = np.asarray(index)
     out = a.data[index]
+    an = a.node
 
     def bwd(g):
         # the scatter sums into an existing gradient in place, so rows
         # gathered by several nodes add up in the order their nodes run
-        if a.grad is None:
-            ga = np.zeros_like(a.data)
+        if an.grad is None:
+            ga = np.zeros(an.shape)
             np.add.at(ga, index, g)
-            a._accumulate(ga)
+            an.accumulate(ga)
         else:
-            np.add.at(a.grad, index, g)
+            np.add.at(an.grad, index, g)
 
-    return _make(out, (a,), bwd)
+    return _make(out, (an,), bwd)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -276,6 +346,7 @@ def gelu(a: Tensor) -> Tensor:
     out = t + 1.0
     out *= x
     out *= 0.5
+    an = a.node
 
     def bwd(g):
         # d out/dx = ((1 + t) + x (1 - t^2) du/dx) / 2 with
@@ -293,9 +364,9 @@ def gelu(a: Tensor) -> Tensor:
         s += 1.0
         s *= 0.5
         s *= g
-        a._accumulate(s)
+        an.accumulate(s)
 
-    return _make(out, (a,), bwd)
+    return _make(out, (an,), bwd)
 
 
 LN_EPS = 1e-5
@@ -309,19 +380,21 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     var = (xhat * xhat).sum(axis=-1, keepdims=True) / x.data.shape[-1]
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat *= inv
-    out = xhat * gain.data
+    gd = gain.data
+    out = xhat * gd
     out += bias.data
+    xn, gainn, biasn = x.node, gain.node, bias.node
 
     def bwd(g):
-        gx = g * gain.data
+        gx = g * gd
         m1 = gx.mean(axis=-1, keepdims=True)
         m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-        x._accumulate(inv * (gx - m1 - xhat * m2))
-        gain._accumulate(g * xhat)
+        xn.accumulate(inv * (gx - m1 - xhat * m2))
+        gainn.accumulate(g * xhat)
         # last: bias may keep g itself, which the lines above read
-        bias._accumulate(g)
+        biasn.accumulate(g)
 
-    return _make(out, (x, gain, bias), bwd)
+    return _make(out, (xn, gainn, biasn), bwd)
 
 
 def softmax_masked(scores: Tensor, additive_mask: np.ndarray | None = None) -> Tensor:
@@ -334,12 +407,13 @@ def softmax_masked(scores: Tensor, additive_mask: np.ndarray | None = None) -> T
     z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
     p = e / e.sum(axis=-1, keepdims=True)
+    sn = scores.node
 
     def bwd(g):
         dot = (g * p).sum(axis=-1, keepdims=True)
-        scores._accumulate(p * (g - dot))
+        sn.accumulate(p * (g - dot))
 
-    return _make(p, (scores,), bwd)
+    return _make(p, (sn,), bwd)
 
 
 def dropout(a: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
@@ -355,11 +429,12 @@ def dropout(a: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
     inv = 1.0 / (1.0 - p)
     out = a.data * keep
     out *= inv
+    an = a.node
 
     def bwd(g):
-        a._accumulate(g * keep * inv)
+        an.accumulate(g * keep * inv)
 
-    return _make(out, (a,), bwd)
+    return _make(out, (an,), bwd)
 
 
 # -- loss -------------------------------------------------------------------
@@ -384,15 +459,16 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     rows = np.nonzero(kept)[0]
     nll = -logp[rows, labels[rows]]
     out = np.asarray(nll.sum() / n_kept)
+    ln = logits.node
 
     def bwd(g):
-        gl = np.zeros_like(logits.data)
+        gl = np.zeros(ln.shape)
         p = np.exp(logp[rows])
         p[np.arange(len(rows)), labels[rows]] -= 1.0
         gl[rows] = p * (float(g) / n_kept)
-        logits._accumulate(gl)
+        ln.accumulate(gl)
 
-    return _make(out, (logits,), bwd)
+    return _make(out, (ln,), bwd)
 
 
 def log_probs(logits: Tensor) -> np.ndarray:

@@ -230,7 +230,9 @@ def encoder_forward(params: ParameterSet, token_ids,
         attention_mask = attention_mask[None, :]
     if attention_mask.shape != ids.shape:
         raise ValueError("attention mask shape must match token ids")
-    add_mask = np.where(attention_mask, 0.0, MASK_VALUE)[:, None, None, :]
+    # a mask that admits every position adds nothing: no (B, 1, 1, T) zeros
+    add_mask = (None if attention_mask.all()
+                else np.where(attention_mask, 0.0, MASK_VALUE)[:, None, None, :])
     return _stack(params, "enc", ids, add_mask, dropout_rng)
 
 

@@ -421,16 +421,16 @@ class TestGraphMechanics:
         t = ag.Tensor(np.zeros(shape), requires_grad=True)
         with pytest.raises(ValueError, match=re.escape(
                 f"gradient of shape {grad} does not reduce to shape {shape}")):
-            t._accumulate(np.ones(grad))
+            t.node.accumulate(np.ones(grad))
         assert t.grad is None
 
     def test_broadcast_gradient_is_summed_and_constant_drops_it(self):
         t = ag.Tensor(np.zeros((1, 4)), requires_grad=True)
-        t._accumulate(np.ones((2, 3, 4)))
-        t._accumulate(np.ones((3, 4)))
+        t.node.accumulate(np.ones((2, 3, 4)))
+        t.node.accumulate(np.ones((3, 4)))
         np.testing.assert_array_equal(t.grad, np.full((1, 4), 9.0))
         c = ag.Tensor(np.zeros((2, 4)))
-        c._accumulate(np.ones((3,)))  # not even checked: no gradient is kept
+        c.node.accumulate(np.ones((3,)))  # not even checked: no gradient is kept
         assert c.grad is None
 
     def test_sweep_frees_the_graph_and_keeps_leaf_gradients(self):
@@ -439,9 +439,39 @@ class TestGraphMechanics:
         h = ag.gelu(ag.matmul(x, m))
         loss = weighted_sum(h, RNG.normal(size=6))
         ag.backward(loss)
-        for node in (h, loss):
-            assert node.grad is None and node._parents == ()
+        for t in (h, loss):
+            assert t.grad is None and t.node.parents == ()
         assert x.grad.shape == (2, 3) and m.grad.shape == (3, 3)
+
+    def test_a_wrapped_backward_fn_runs_in_the_sweep(self):
+        # a profiler finds autograd inputs by `_backward_fn` and times an
+        # op's backward by wrapping it on the Tensor the op returns
+        w = RNG.normal(size=6)
+        xv, mv = RNG.normal(size=(2, 3)), RNG.normal(size=(3, 3))
+
+        def gradients(wrap):
+            x = ag.Tensor(xv, requires_grad=True)
+            m = ag.Tensor(mv, requires_grad=True)
+            h = ag.gelu(ag.matmul(x, m))
+            tensors = (x, m, h, ag.Tensor(w))
+            assert all(hasattr(t, "_backward_fn") for t in tensors)
+            calls = []
+            if wrap:
+                fn = h._backward_fn
+
+                def timed(g):
+                    calls.append(g.shape)
+                    fn(g)
+
+                h._backward_fn = timed
+            loss = weighted_sum(h, w)
+            ag.backward(loss)
+            assert all(hasattr(t, "_backward_fn") for t in tensors + (loss,))
+            return calls, x.grad.tobytes() + m.grad.tobytes()
+
+        calls, wrapped = gradients(wrap=True)
+        assert calls == [(2, 3)]
+        assert wrapped == gradients(wrap=False)[1]
 
     def test_second_sweep_of_a_graph_raises(self):
         x = ag.Tensor(RNG.normal(size=(2, 3)), requires_grad=True)

@@ -203,6 +203,24 @@ class TestEncoderForward:
         after = mdl.encoder_forward(p, np.array([[9]])).data
         np.testing.assert_array_equal(before, after)
 
+    @pytest.mark.parametrize("dropout", [0.0, 0.2])
+    def test_all_true_mask_bits_match_an_added_zero_mask(self, dropout):
+        # a mask that admits every position reaches softmax as None, not
+        # as an all-zero additive array: the same bits either way
+        cfg = tiny_config(n_layers=2, dropout=dropout)
+        p = mdl.init_params(cfg)
+        ids = rand_ids(np.random.default_rng(8), cfg, 3, 9)
+
+        def run(forward):
+            rng = np.random.default_rng(5) if dropout else None
+            return forward(rng).data.tobytes()
+
+        zeros = np.zeros((3, 1, 1, 9))
+        added = run(lambda rng: mdl._stack(p, "enc", ids, zeros, rng))
+        assert run(lambda rng: mdl.encoder_forward(
+            p, ids, np.ones(ids.shape, dtype=bool), rng)) == added
+        assert run(lambda rng: mdl.encoder_forward(p, ids, dropout_rng=rng)) == added
+
     def test_id_out_of_range(self):
         p = mdl.init_params(tiny_config(vocab_size=23))
         with pytest.raises(ValueError, match="out of range"):

@@ -748,16 +748,57 @@ class TestStepGraphFreed:
         param_bytes = sum(t.data.nbytes for t in params.values())
         assert peak - held < param_bytes + (held - before) / 4
 
+    def test_the_tape_frees_what_no_backward_reads(self, monkeypatch):
+        # no backward formula reads the pre-scale attention scores, a
+        # sublayer's pre-dropout output or the residual stream, so each is
+        # freed as soon as the model drops it, while the loss holds the graph
+        params = mdl.init_params(tiny_model(vocab_size=50, n_layers=2, d_model=32,
+                                            d_ff=64, dropout=0.1))
+        batch = np.random.default_rng(0).integers(NUM_SPECIALS, 50, size=(8, 16))
+
+        def step(hold):
+            refs = {"scale": [], "dropout": [], "add": []}
+            kept = []
+
+            def watch(op, real, of_input):
+                def wrapper(*args):
+                    out = real(*args)
+                    array = args[0].data if of_input else out.data
+                    refs[op].append(weakref.ref(array))
+                    if hold:
+                        kept.append(array)
+                    return out
+                return wrapper
+
+            with monkeypatch.context() as m:
+                m.setattr(ag, "scale", watch("scale", ag.scale, True))
+                m.setattr(ag, "dropout", watch("dropout", ag.dropout, True))
+                m.setattr(ag, "add", watch("add", ag.add, False))
+                loss = tr._mlm_step_loss(params, batch, tr.MaskingConfig(),
+                                         np.random.default_rng(1), np.random.default_rng(2))
+            alive = {op: [r() is not None for r in rs] for op, rs in refs.items()}
+            grads = mdl.backward(params, loss)
+            return alive, b"".join(g.tobytes() for g in grads.values())
+
+        freed, grad_bytes = step(hold=False)
+        # 2 layers: 2 score arrays, 5 dropouts and 5 adds (embedding + 4 residual)
+        assert {op: len(a) for op, a in freed.items()} == {"scale": 2, "dropout": 5, "add": 5}
+        assert not any(a for alive in freed.values() for a in alive)
+        # a step that holds every one of them, as a tape of whole tensors did
+        held, held_bytes = step(hold=True)
+        assert all(a for alive in held.values() for a in alive)
+        assert grad_bytes == held_bytes
+
 
 class TestGradientTraffic:
-    """`Tensor._accumulate` drops a gradient for a tensor that requires none,
+    """`Node.accumulate` drops a gradient for a node that requires none,
     and in training no op hands it one."""
 
     @pytest.mark.parametrize("objective", [None, "grammar"])
     def test_one_step_hands_no_gradient_to_a_constant(self, objective, monkeypatch,
                                                       mo_docs, grammar_subwords):
         kept = []
-        accumulate = ag.Tensor._accumulate
+        accumulate = ag.Node.accumulate
 
         def spy(self, g):
             kept.append(self.requires_grad)
@@ -769,7 +810,7 @@ class TestGradientTraffic:
         def stop(*args, **kwargs):
             raise OneStep
 
-        monkeypatch.setattr(ag.Tensor, "_accumulate", spy)
+        monkeypatch.setattr(ag.Node, "accumulate", spy)
         monkeypatch.setattr(tr, "adamw_step", stop)
         model_cfg = tiny_model(vocab_size=95, dropout=0.1,
                                decoder_layers=1 if objective else 0)
