@@ -16,7 +16,9 @@ the arrays its formula reads:
     dropout         the keep mask
     embedding,
     gather_rows     the index
-    cross_entropy   the log-probabilities, kept rows and labels
+    cross_entropy   the labels, the kept rows as a mask and as indices, and
+                    the log-probabilities, which its backward turns in place
+                    into the logits' gradient
 
 add, scale, reshape and swapaxes keep no array. Every tensor that needs
 no gradient shares one constant node. `backward` runs an iterative
@@ -457,16 +459,17 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         raise ValueError("cross_entropy: all labels are ignored")
     logp = log_probs(logits)
     rows = np.nonzero(kept)[0]
-    nll = -logp[rows, labels[rows]]
-    out = np.asarray(nll.sum() / n_kept)
+    # negated before the sum, which then reads +0.0, not -0.0, at zero loss
+    out = np.asarray((-logp[rows, labels[rows]]).sum() / n_kept)
     ln = logits.node
 
     def bwd(g):
-        gl = np.zeros(ln.shape)
-        p = np.exp(logp[rows])
-        p[np.arange(len(rows)), labels[rows]] -= 1.0
-        gl[rows] = p * (float(g) / n_kept)
-        ln.accumulate(gl)
+        # written over logp: the sweep runs this once, then the logits own it
+        p = np.exp(logp, out=logp)
+        p[rows, labels[rows]] -= 1.0
+        p *= float(g) / n_kept
+        p[~kept] = 0.0
+        ln.accumulate(p)
 
     return _make(out, (ln,), bwd)
 
@@ -474,4 +477,5 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
 def log_probs(logits: Tensor) -> np.ndarray:
     """Row-wise log-softmax of a (N, V) logits tensor, as a plain array."""
     z = logits.data - logits.data.max(axis=-1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    z -= np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    return z

@@ -123,10 +123,9 @@ def cmd_corpus_stats(args) -> int:
 
 def cmd_corpus_mix(args) -> int:
     manifest = cp.load_manifest(args.manifest)
-    sources = [cp.load_source(e.path, e.kind) for e in manifest.entries]
+    mixed = cp.mix_from_manifest(manifest)
     inputs = [Path(args.manifest)] + [Path(e.path) for e in manifest.entries]
     out = write_run_manifest(args, inputs, manifest.seed, ["mixed.jsonl"])
-    mixed = cp.mix_corpora(manifest, sources)
     cp.save_documents(out / "mixed.jsonl", mixed)
     totals = cp.source_word_totals(mixed)
     for entry in manifest.entries:

@@ -265,11 +265,11 @@ def _mlm_step_loss(params: ParameterSet, batch: np.ndarray, mcfg: MaskingConfig,
 @dataclass
 class AuxItem:
     """One auxiliary example: encoder input, where the decoder looks, and
-    the teacher-forced decoder input/labels."""
+    the decoder's target ids. The decoder is teacher-forced on
+    [CLS] + target to predict target + [SEP]."""
     enc_ids: list[int]
     mem_index: int | None        # None = cross-attend to all hidden states
-    dec_in: list[int]
-    dec_labels: list[int]
+    target: list[int]
 
 
 def find_word_span(text: str, word: str) -> tuple[int, int] | None:
@@ -283,7 +283,7 @@ def build_definition_batch(entries: Sequence[WiktionaryEntry],
     """One item per (entry, example sentence containing the headword).
 
     The headword's first subword is marked in the encoder input; the
-    decoder target is the definition bounded by SEP. Examples that do not
+    decoder target is the definition. Examples that do not
     contain the headword as a whole word are skipped with a log line.
     """
     items: list[AuxItem] = []
@@ -297,12 +297,7 @@ def build_definition_batch(entries: Sequence[WiktionaryEntry],
             ids, offsets = subwords.encode_with_offsets(example)
             tok = mdl.locate_token(offsets, span)
             marked, index = mdl.mark_position(ids, tok)
-            items.append(AuxItem(
-                enc_ids=marked,
-                mem_index=index,
-                dec_in=[CLS_ID] + def_ids,
-                dec_labels=def_ids + [SEP_ID],
-            ))
+            items.append(AuxItem(enc_ids=marked, mem_index=index, target=def_ids))
     return items
 
 
@@ -323,14 +318,9 @@ def build_grammar_batch(examples: Sequence[GrammarExample],
             continue
         enc_ids = subwords.encode(ex.sentence)
         for tag in ex.tags:
-            target = f"notion {tag.notion} : {render_tag_answer(tag.value)}"
-            tgt_ids = subwords.encode(target)
-            items.append(AuxItem(
-                enc_ids=enc_ids,
-                mem_index=None,
-                dec_in=[CLS_ID] + tgt_ids,
-                dec_labels=tgt_ids + [SEP_ID],
-            ))
+            answer = f"notion {tag.notion} : {render_tag_answer(tag.value)}"
+            items.append(AuxItem(enc_ids=enc_ids, mem_index=None,
+                                 target=subwords.encode(answer)))
     return items
 
 
@@ -364,8 +354,8 @@ def _aux_step_loss(params: ParameterSet, items: list[AuxItem],
     else:
         memory = hidden
         mem_mask = enc_mask
-    dec_in = _pad_2d([it.dec_in for it in items], PAD_ID)
-    labels = _pad_2d([it.dec_labels for it in items], IGNORE_INDEX)
+    dec_in = _pad_2d([[CLS_ID] + it.target for it in items], PAD_ID)
+    labels = _pad_2d([it.target + [SEP_ID] for it in items], IGNORE_INDEX)
     logits = mdl.decoder_forward(params, dec_in, memory, mem_mask, dropout_rng)
     b, t, v = logits.shape
     return ag.cross_entropy(ag.reshape(logits, (b * t, v)), labels.reshape(-1))
@@ -386,9 +376,10 @@ class TrainingRun:
     """MLM pretraining, plus one auxiliary batch per step when `objective`
     is given; deterministic given cfg.seed. The constructor runs every rule
     before any work: `check_training`, `model.check_vocab_sizes`, a corpus
-    that packs to at least one example, a schedule whose warm-up ends before
-    its last step and, with an objective, an item that fits the model's
-    positions (longer ones are dropped)."""
+    that packs to at least one example and holds a token masking can select
+    (a non-special id), a schedule whose warm-up ends before its last step
+    and, with an objective, an item that fits the model's positions (longer
+    ones are dropped)."""
 
     def __init__(self, docs: Sequence[Document], subwords: SubwordModel,
                  model_cfg: ModelConfig, cfg: TrainingConfig,
@@ -402,11 +393,14 @@ class TrainingRun:
         n = len(self.packed)
         if n == 0:
             raise ValueError("corpus packed to zero examples")
+        if not (self.packed >= NUM_SPECIALS).any():
+            raise ValueError("corpus has no token that masking can select: "
+                             "every packed id is a special token")
         self.total_steps = cfg.epochs * math.ceil(n / cfg.batch_size)
         _check_schedule(cfg, self.total_steps)
         limit = model_cfg.max_positions
         self.aux_items = [it for it in aux_items
-                          if len(it.enc_ids) <= limit and len(it.dec_in) <= limit]
+                          if len(it.enc_ids) <= limit and len(it.target) < limit]
         if len(self.aux_items) < len(aux_items):
             log.info("dropped %d over-length auxiliary items",
                      len(aux_items) - len(self.aux_items))

@@ -22,8 +22,8 @@ from desklm import autograd as ag
 from desklm import model as mdl
 from desklm.corpus import Document, corpus_digest
 from desklm.model import ModelConfig, ParameterSet
-from desklm.subwords import (NUM_SPECIALS, SPECIAL_TOKENS, SubwordModel, MASK_ID,
-                             _word_forms, pack_examples)
+from desklm.subwords import (CLS_ID, NUM_SPECIALS, SEP_ID, SPECIAL_TOKENS, SubwordModel,
+                             MASK_ID, _word_forms, pack_examples)
 from desklm.training import (_STREAM_AUX_DROPOUT, _STREAM_AUX_ORDER, _STREAM_DROPOUT,
                              _STREAM_MASK, _STREAM_SHUFFLE, AdamWState, AuxItem,
                              MaskingConfig, TrainingConfig, TrainLog, _check_schedule,
@@ -188,6 +188,35 @@ def reference_pseudo_log_likelihood(params: mdl.ParameterSet, subwords: SubwordM
     return float(logp[np.arange(n), arr].sum())
 
 
+def reference_log_probs(x: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax, out of place."""
+    z = x - x.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
+def reference_cross_entropy(logits: ag.Tensor, labels: np.ndarray) -> ag.Tensor:
+    """`autograd.cross_entropy` as it was before its backward reused the
+    log-probabilities: the gradient is a zero-filled (N, V) array, into
+    which the kept rows, gathered and exponentiated, are scattered."""
+    labels = np.asarray(labels)
+    kept = labels != ag.IGNORE_INDEX
+    n_kept = int(kept.sum())
+    logp = reference_log_probs(logits.data)
+    rows = np.nonzero(kept)[0]
+    nll = -logp[rows, labels[rows]]
+    out = np.asarray(nll.sum() / n_kept)
+    ln = logits.node
+
+    def bwd(g):
+        gl = np.zeros(ln.shape)
+        p = np.exp(logp[rows])
+        p[np.arange(len(rows)), labels[rows]] -= 1.0
+        gl[rows] = p * (float(g) / n_kept)
+        ln.accumulate(gl)
+
+    return ag._make(out, (ln,), bwd)
+
+
 def _maybe_dropout(x: ag.Tensor, rate: float, rng) -> ag.Tensor:
     """The model's dropout switch before `autograd.dropout` owned it."""
     if rng is None or rate == 0.0:
@@ -306,8 +335,9 @@ def _reference_aux_step_loss(params: ParameterSet, items: list[AuxItem],
         mem_mask = None
     else:
         memory, mem_mask = hidden, enc_mask
-    dec_in = _pad_2d([it.dec_in for it in items], mdl.PAD_ID)
-    labels = _pad_2d([it.dec_labels for it in items], ag.IGNORE_INDEX)
+    # teacher forcing: read [CLS] + target, predict target + [SEP]
+    dec_in = _pad_2d([[CLS_ID] + it.target for it in items], mdl.PAD_ID)
+    labels = _pad_2d([it.target + [SEP_ID] for it in items], ag.IGNORE_INDEX)
     logits = reference_decoder_forward(params, dec_in, memory, mem_mask, dropout_rng)
     b, t, v = logits.shape
     return ag.cross_entropy(ag.reshape(logits, (b * t, v)), labels.reshape(-1))
@@ -506,7 +536,7 @@ def reference_train_multi_objective(docs: Sequence[Document], subwords: SubwordM
         raise ValueError("corpus is empty")
     limit = model_cfg.max_positions
     usable = [it for it in aux_items
-              if len(it.enc_ids) <= limit and len(it.dec_in) <= limit]
+              if len(it.enc_ids) <= limit and len(it.target) + 1 <= limit]
     if len(usable) < len(aux_items):
         log.info("dropped %d over-length auxiliary items", len(aux_items) - len(usable))
     if not usable:

@@ -2,11 +2,13 @@
 
 import inspect
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from desklm import autograd as ag
+from helpers import reference_cross_entropy, reference_log_probs
 
 
 def weighted_sum(t, w):
@@ -366,6 +368,45 @@ class TestCrossEntropy:
         manual = z - np.log(np.exp(z - z.max(-1, keepdims=True)).sum(-1, keepdims=True)) \
             - z.max(-1, keepdims=True)
         np.testing.assert_allclose(lp, manual, rtol=1e-12)
+        assert lp.tobytes() == reference_log_probs(z).tobytes()
+
+    @staticmethod
+    def _labels(rng, n, v, padded):
+        """Random labels; padded ones end each of 8 sequences in a run of
+        IGNORE_INDEX, as the decoder's are."""
+        labels = rng.integers(0, v, size=n)
+        if padded:
+            seqs = labels.reshape(8, -1)
+            for row, length in zip(seqs, rng.integers(1, seqs.shape[1], size=8)):
+                row[length:] = ag.IGNORE_INDEX
+        return labels
+
+    @pytest.mark.parametrize("padded", [False, True])
+    @pytest.mark.parametrize("v", [240, 600, 2000])
+    def test_bytes_match_the_gather_scatter_oracle(self, v, padded):
+        rng = np.random.default_rng(v)
+        x = rng.normal(scale=3.0, size=(64, v))
+        labels = self._labels(rng, 64, v, padded)
+        results = []
+        for loss_fn in (ag.cross_entropy, reference_cross_entropy):
+            logits = ag.Tensor(x, requires_grad=True)
+            loss = loss_fn(logits, labels)
+            # an upstream gradient other than 1, as a weighted loss gets
+            ag.backward(ag.scale(loss, 0.7))
+            results.append((loss.data.tobytes(), logits.grad.tobytes()))
+        assert results[0] == results[1]
+
+    def test_backward_allocates_no_logits_sized_array(self):
+        n, v = 64, 2000
+        logits = ag.Tensor(RNG.normal(size=(n, v)), requires_grad=True)
+        loss = ag.cross_entropy(logits, self._labels(RNG, n, v, padded=True))
+        tracemalloc.start()
+        try:
+            ag.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * v * 8
 
 
 class TestGraphMechanics:

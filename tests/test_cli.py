@@ -1072,6 +1072,17 @@ def _pairs_over_length(directory: Path) -> str:
     return str(path)
 
 
+def _unmaskable_inputs(directory: Path) -> list[str]:
+    """A corpus of one-word documents whose letters the tokenizer lacks, so
+    every id is UNK_ID, and that tokenizer."""
+    corpus, subwords = directory / "xyzzyx.jsonl", directory / "ab.json"
+    cp.save_documents(corpus, [cp.Document(id=f"x{i}", text="xyzzyx", source="unconstrained")
+                               for i in range(200)])
+    train_subwords([cp.Document(id="ab", text="ab ba abba baab", source="unconstrained")],
+                   12).save(subwords)
+    return ["--corpus", str(corpus), "--subwords", str(subwords)]
+
+
 # case: (argv, given a directory for its inputs, the shared corpus and eval
 # artifacts; the data error a rule of the run finds once every input is read)
 FOUND_BEFORE_WRITING = {
@@ -1084,6 +1095,9 @@ FOUND_BEFORE_WRITING = {
     "vocab-size": (lambda d, corpus, art, out: [
         "train", "--mlm", "--corpus", corpus, "--out-dir", out, "--vocab-size", "5000"]
         + _NO_VOCAB_FLAGS, "data error: corpus supports a vocabulary of at most"),
+    "no-maskable-token": (lambda d, corpus, art, out: [
+        "train", "--mlm", "--out-dir", out] + _unmaskable_inputs(d) + _NO_VOCAB_FLAGS,
+        "data error: corpus has no token that masking can select"),
     "pairs-over-length": (lambda d, corpus, art, out: _eval_flags(art, out) + [
         "--subwords", str(art / cli.SUBWORDS_NAME), "--pairs", _pairs_over_length(d)],
         "data error: all 1 pairs have a sentence longer than the model's 64 positions"),

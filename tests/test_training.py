@@ -509,8 +509,7 @@ class TestDefinitionBatch:
             unmarked = [t for i, t in enumerate(item.enc_ids)
                         if i != item.mem_index - 1]
             assert unmarked == def_subwords.encode(example)
-            assert item.dec_in == [CLS_ID] + def_ids
-            assert item.dec_labels == def_ids + [SEP_ID]
+            assert item.target == def_ids
             # the marked token is the first subword of the headword
             span = tr.find_word_span(example, entry.word)
             ids, offsets = def_subwords.encode_with_offsets(example)
@@ -559,10 +558,7 @@ class TestGrammarBatch:
         t0 = grammar_subwords.encode("notion common noun : engineers, design")
         t1 = grammar_subwords.encode("notion object pronoun : N/A")
         t2 = grammar_subwords.encode("notion adjunct clause : no")
-        assert items[0].dec_in == [CLS_ID] + t0
-        assert items[0].dec_labels == t0 + [SEP_ID]
-        assert items[1].dec_in == [CLS_ID] + t1
-        assert items[2].dec_in == [CLS_ID] + t2
+        assert [it.target for it in items] == [t0, t1, t2]
 
     def test_untagged_sentences_contribute_nothing(self, grammar_subwords, monkeypatch):
         bare = GrammarExample(sentence="Just a sentence.", topic="art", tags=())
@@ -622,7 +618,7 @@ class TestMultiObjective:
 
     def test_all_items_too_long(self, mo_docs, grammar_subwords, caplog):
         long_item = tr.AuxItem(enc_ids=[7] * 200, mem_index=None,
-                               dec_in=[CLS_ID], dec_labels=[SEP_ID])
+                               target=[])
         with pytest.raises(ValueError, match="no usable auxiliary items"):
             tr.train_multi_objective(mo_docs, grammar_subwords, [long_item],
                                      "grammar",
@@ -632,7 +628,7 @@ class TestMultiObjective:
     def test_over_length_items_dropped_with_log(self, mo_docs, grammar_subwords, caplog):
         items = self._grammar_items(grammar_subwords)
         long_item = tr.AuxItem(enc_ids=[7] * 200, mem_index=None,
-                               dec_in=[CLS_ID], dec_labels=[SEP_ID])
+                               target=[])
         with caplog.at_level("INFO", logger="desklm.training"):
             _, tlog = tr.train_multi_objective(
                 mo_docs, grammar_subwords, items + [long_item], "grammar",
@@ -895,7 +891,7 @@ class TestRunRules:
 
     DOCS = [Document(id="d0", source="unconstrained", text="w0 w1 w2 w3")]
     ITEMS = [tr.AuxItem(enc_ids=[CLS_ID, 7, SEP_ID], mem_index=None,
-                        dec_in=[CLS_ID], dec_labels=[SEP_ID])]
+                        target=[])]
     CASES = [
         ({}, {"context_size": 65}, None,
          "model max_positions is smaller than context_size: 64 < 65"),
@@ -932,6 +928,16 @@ class TestRunRules:
         with pytest.raises(ValueError) as trained:
             self._train(model_cfg, cfg, objective, subwords_of_size(model_cfg.vocab_size))
         assert str(trained.value) == message
+
+    def test_corpus_with_no_maskable_token_refused(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("did work before checking the corpus")
+        monkeypatch.setattr(mdl, "init_params", never)
+        # no character of the word is in the tokenizer, so every id is UNK_ID
+        docs = [Document(id=f"x{i}", source="unconstrained", text="xyzzyx")
+                for i in range(200)]
+        with pytest.raises(ValueError, match="corpus has no token that masking can select"):
+            tr.train_mlm(docs, subwords_of_size(60), tiny_model(), tiny_training())
 
     @pytest.mark.parametrize("objective", [None, "grammar"])
     def test_model_and_tokenizer_of_different_sizes_refused(self, no_work, objective):
