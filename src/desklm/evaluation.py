@@ -99,8 +99,9 @@ class EvalReport:
 
 
 # rows of masked copies per encoder pass: a block's (rows, d_ff) FFN
-# activation is then about 1 MB, so the elementwise ops between GEMMs run
-# in a 2 MB L2 cache instead of streaming an (n * n, d_ff) array from memory
+# activation in every layer but the last, which runs one row a copy, is
+# then about 1 MB, so the elementwise ops between GEMMs run in a 2 MB L2
+# cache instead of streaming an (n * n, d_ff) array from memory
 _PLL_ROWS = 256
 
 
@@ -109,7 +110,9 @@ def pseudo_log_likelihood(params: ParameterSet, subwords: SubwordModel,
     """Sum of masked-position log-probabilities of the original tokens.
 
     Copy i of the sentence has position i masked; the n copies are scored
-    in blocks of at most `_PLL_ROWS` rows (at least one copy a block).
+    in blocks of at most `_PLL_ROWS` rows (at least one copy a block). The
+    encoder's last layer and the head run at the masked row of each copy
+    only (`model.encoder_forward`'s `positions`).
     """
     ids = subwords.encode(sentence)
     n = len(ids)
@@ -128,11 +131,10 @@ def pseudo_log_likelihood(params: ParameterSet, subwords: SubwordModel,
             k = len(pos)
             batch = np.tile(arr, (k, 1))
             batch[np.arange(k), pos] = MASK_ID
-            hidden = mdl.encoder_forward(params, batch, np.ones_like(batch, dtype=bool))
-            # the head sees only the masked row of each copy
-            flat = ag.reshape(hidden, (k * n, params.config.d_model))
-            rows = ag.gather_rows(flat, np.arange(k) * n + pos)
-            logp[pos] = ag.log_probs(mdl.mlm_logits(params, rows))[np.arange(k), arr[pos]]
+            hidden = mdl.encoder_forward(params, batch, np.ones_like(batch, dtype=bool),
+                                         positions=pos[:, None])
+            logits = mdl.mlm_logits(params, ag.reshape(hidden, (k, params.config.d_model)))
+            logp[pos] = ag.log_probs(logits)[np.arange(k), arr[pos]]
     return float(logp.sum())
 
 

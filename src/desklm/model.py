@@ -188,39 +188,64 @@ def _ffn(p: ParameterSet, prefix: str, x: Tensor) -> Tensor:
 
 def _stack(p: ParameterSet, prefix: str, ids: np.ndarray, self_mask: np.ndarray,
            dropout_rng, memory: Tensor | None = None,
-           cross_mask: np.ndarray | None = None) -> Tensor:
+           cross_mask: np.ndarray | None = None,
+           positions: np.ndarray | None = None) -> Tensor:
     """Embed ids and run the `prefix` ("enc" or "dec") layers and final norm.
 
     Each layer takes pre-LN residual steps x + dropout(sublayer(ln(x)))
     around self-attention, then cross-attention over `memory` when one is
-    given, then the feed-forward.
+    given, then the feed-forward. With `positions` (B, Q), the last layer
+    computes its first norm, keys and values at every position but
+    everything after them only at those rows, and the result is (B, Q, d).
     """
     cfg = p.config
     x = _embed(p, ids, dropout_rng)
 
-    def residual(x: Tensor, ln: str, sublayer) -> Tensor:
+    def every_row(y: Tensor) -> Tensor:
+        return y
+
+    def at_positions(y: Tensor) -> Tensor:
+        # (B, T, d) -> the (B, Q, d) rows at `positions`
+        b, t, d = y.shape
+        index = (np.arange(b)[:, None] * t + positions).ravel()
+        return ag.reshape(ag.gather_rows(ag.reshape(y, (b * t, d)), index),
+                          positions.shape + (d,))
+
+    def residual(x: Tensor, ln: str, sublayer, rows=every_row) -> Tensor:
+        # sublayer(queries, normed): the `rows` of the normed input, and all of it
         pre = ag.layer_norm(x, p[f"{ln}.g"], p[f"{ln}.b"])
-        return ag.add(x, ag.dropout(sublayer(pre), cfg.dropout, dropout_rng))
+        return ag.add(rows(x), ag.dropout(sublayer(rows(pre), pre), cfg.dropout, dropout_rng))
 
     n_layers = cfg.n_layers if prefix == "enc" else cfg.decoder_layers
     for i in range(n_layers):
         layer = f"{prefix}.{i}"
-        x = residual(x, f"{layer}.ln1", lambda pre: _attention(
-            p, f"{layer}.attn", pre, pre, self_mask))
+        rows = at_positions if positions is not None and i == n_layers - 1 else every_row
+        x = residual(x, f"{layer}.ln1", lambda q, kv: _attention(
+            p, f"{layer}.attn", q, kv, self_mask), rows)
         if memory is not None:
-            x = residual(x, f"{layer}.lnc", lambda pre: _attention(
-                p, f"{layer}.cross", pre, memory, cross_mask))
-        x = residual(x, f"{layer}.ln2", lambda pre: _ffn(p, f"{layer}.ffn", pre))
+            x = residual(x, f"{layer}.lnc", lambda q, _: _attention(
+                p, f"{layer}.cross", q, memory, cross_mask))
+        x = residual(x, f"{layer}.ln2", lambda q, _: _ffn(p, f"{layer}.ffn", q))
     return ag.layer_norm(x, p[f"{prefix}_ln.g"], p[f"{prefix}_ln.b"])
 
 
 def encoder_forward(params: ParameterSet, token_ids,
                     attention_mask: np.ndarray | None = None,
-                    dropout_rng: np.random.Generator | None = None) -> Tensor:
+                    dropout_rng: np.random.Generator | None = None,
+                    positions: np.ndarray | None = None) -> Tensor:
     """Hidden states (batch, positions, d_model) of the encoder stack.
     attention_mask marks real (attendable) positions; None means every
     position not equal to PAD. Dropout is active only when a generator is
-    supplied."""
+    supplied.
+
+    `positions`, a (batch, Q) integer array, asks for the states at those
+    positions of each sequence only, (batch, Q, d_model): the last layer
+    then runs its queries, attention output, feed-forward and the final
+    norm at those rows alone (see `_stack`). They equal the full output's
+    rows within rounding, not in every bit: fewer rows can take other BLAS
+    kernels. A smaller last layer draws less dropout, so training does not
+    pass it.
+    """
     cfg = params.config
     ids = _check_ids(token_ids, cfg.vocab_size)
     if attention_mask is None:
@@ -230,10 +255,19 @@ def encoder_forward(params: ParameterSet, token_ids,
         attention_mask = attention_mask[None, :]
     if attention_mask.shape != ids.shape:
         raise ValueError("attention mask shape must match token ids")
+    if positions is not None:
+        positions = np.asarray(positions)
+        b, t = ids.shape
+        if (positions.dtype.kind not in "iu" or positions.ndim != 2
+                or positions.shape[0] != b or positions.shape[1] == 0):
+            raise ValueError(f"positions must be a ({b}, Q) integer array with Q >= 1, "
+                             f"got {positions.dtype} of shape {positions.shape}")
+        if positions.min() < 0 or positions.max() >= t:
+            raise ValueError(f"position out of range [0, {t})")
     # a mask that admits every position adds nothing: no (B, 1, 1, T) zeros
     add_mask = (None if attention_mask.all()
                 else np.where(attention_mask, 0.0, MASK_VALUE)[:, None, None, :])
-    return _stack(params, "enc", ids, add_mask, dropout_rng)
+    return _stack(params, "enc", ids, add_mask, dropout_rng, positions=positions)
 
 
 def mlm_logits(params: ParameterSet, hidden: Tensor) -> Tensor:

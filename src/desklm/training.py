@@ -375,11 +375,11 @@ def _aux_batches(items: Sequence[AuxItem], size: int,
 class TrainingRun:
     """MLM pretraining, plus one auxiliary batch per step when `objective`
     is given; deterministic given cfg.seed. The constructor runs every rule
-    before any work: `check_training`, `model.check_vocab_sizes`, a corpus
-    that packs to at least one example and holds a token masking can select
-    (a non-special id), a schedule whose warm-up ends before its last step
-    and, with an objective, an item that fits the model's positions (longer
-    ones are dropped)."""
+    before any work: `check_training`, `model.check_vocab_sizes`, a
+    nonzero mask_prob, a corpus that packs to at least one example and
+    holds a token masking can select (a non-special id), a schedule whose
+    warm-up ends before its last step and, with an objective, an item that
+    fits the model's positions (longer ones are dropped)."""
 
     def __init__(self, docs: Sequence[Document], subwords: SubwordModel,
                  model_cfg: ModelConfig, cfg: TrainingConfig,
@@ -387,6 +387,10 @@ class TrainingRun:
                  aux_items: Sequence[AuxItem] = ()):
         check_training(model_cfg, cfg, objective)
         mdl.check_vocab_sizes(model_cfg, subwords)
+        self.mcfg = mcfg or MaskingConfig()
+        if self.mcfg.mask_prob == 0:
+            raise ValueError("mask_prob is 0: masking selects no token, so no step "
+                             "would be taken")
         if not docs:
             raise ValueError("corpus is empty")
         self.packed = pack_examples(subwords, docs, cfg.context_size)
@@ -407,7 +411,6 @@ class TrainingRun:
         if objective and not self.aux_items:
             raise ValueError("no usable auxiliary items")
         self.model_cfg, self.cfg, self.objective = model_cfg, cfg, objective
-        self.mcfg = mcfg or MaskingConfig()
         self.manifest = {
             "objective": f"mlm+{objective}" if objective else "mlm",
             "model_config": asdict(model_cfg), "training_config": asdict(cfg),

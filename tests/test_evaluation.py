@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from desklm import autograd as ag
 from desklm import evaluation as ev
 from desklm import model as mdl
 from desklm.corpus import Document
@@ -242,9 +243,9 @@ class TestRowBlocks:
         batches = []
         original = mdl.encoder_forward
 
-        def spy(p, batch, mask):
+        def spy(p, batch, mask, **kw):
             batches.append(batch.copy())
-            return original(p, batch, mask)
+            return original(p, batch, mask, **kw)
 
         monkeypatch.setattr(mdl, "encoder_forward", spy)
         ev.pseudo_log_likelihood(params, letters, self.word(n))
@@ -255,6 +256,22 @@ class TestRowBlocks:
         assert (masked.sum(axis=1) == 1).all()
         assert sorted(masked.argmax(axis=1)) == list(range(n))
         assert (np.where(masked, ids, rows) == ids).all()
+
+    @pytest.mark.parametrize("n", [5, 17])
+    def test_last_layer_runs_one_row_a_copy(self, letters, params, n, monkeypatch):
+        # rows into each FFN's GELU: k * n in the first layer, k in the last
+        rows = []
+        original = ag.gelu
+
+        def spy(a):
+            rows.append(math.prod(a.shape[:-1]))
+            return original(a)
+
+        monkeypatch.setattr(ag, "gelu", spy)
+        ev.pseudo_log_likelihood(params, letters, self.word(n))
+        per_block = ev._PLL_ROWS // n
+        blocks = [min(per_block, n - start) for start in range(0, n, per_block)]
+        assert rows == [r for k in blocks for r in (k * n, k)]
 
 
 class TestPairScores:

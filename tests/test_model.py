@@ -221,6 +221,40 @@ class TestEncoderForward:
             p, ids, np.ones(ids.shape, dtype=bool), rng)) == added
         assert run(lambda rng: mdl.encoder_forward(p, ids, dropout_rng=rng)) == added
 
+    @pytest.mark.parametrize("pad", [False, True])
+    @pytest.mark.parametrize("positions", [[[3], [0], [6]],
+                                           [[0, 6, 2], [5, 5, 1], [4, 3, 0]]])
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_positions_match_the_full_rows_there(self, n_layers, positions, pad):
+        cfg = tiny_config(n_layers=n_layers)
+        p = mdl.init_params(cfg)
+        ids = rand_ids(np.random.default_rng(11), cfg, 3, 7)
+        mask = np.ones(ids.shape, dtype=bool)
+        if pad:
+            # rows 1 and 2 end in PAD, and some positions asked for are PAD
+            mask[1, 4:] = mask[2, 6:] = False
+            ids[~mask] = PAD_ID
+        positions = np.array(positions)
+        full = mdl.encoder_forward(p, ids, mask).data
+        got = mdl.encoder_forward(p, ids, mask, positions=positions).data
+        assert got.shape == positions.shape + (cfg.d_model,)
+        want = np.take_along_axis(full, positions[:, :, None], axis=1)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("positions, message", [
+        (np.array([1, 2]), "positions must be a"),
+        (np.array([[1], [2]]), "positions must be a"),
+        (np.zeros((1, 0), dtype=np.int64), "positions must be a"),
+        (np.array([[1.0]]), "positions must be a"),
+        (np.array([[True]]), "positions must be a"),
+        (np.array([[3]]), "position out of range"),
+        (np.array([[0, -1]]), "position out of range"),
+    ])
+    def test_bad_positions_rejected(self, positions, message):
+        p = mdl.init_params(tiny_config())
+        with pytest.raises(ValueError, match=message):
+            mdl.encoder_forward(p, np.array([[7, 8, 9]]), positions=positions)
+
     def test_id_out_of_range(self):
         p = mdl.init_params(tiny_config(vocab_size=23))
         with pytest.raises(ValueError, match="out of range"):

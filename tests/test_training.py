@@ -940,6 +940,19 @@ class TestRunRules:
             tr.train_mlm(docs, subwords_of_size(60), tiny_model(), tiny_training())
 
     @pytest.mark.parametrize("objective", [None, "grammar"])
+    def test_zero_mask_prob_refused(self, no_work, objective):
+        # masking would select no token, so the run would end with no step
+        model_cfg = tiny_model(decoder_layers=0 if objective is None else 1)
+        subwords = subwords_of_size(model_cfg.vocab_size)
+        mcfg = tr.MaskingConfig(mask_prob=0.0)
+        with pytest.raises(ValueError, match="mask_prob is 0: masking selects no token"):
+            if objective is None:
+                tr.train_mlm(self.DOCS, subwords, model_cfg, tiny_training(), mcfg)
+            else:
+                tr.train_multi_objective(self.DOCS, subwords, self.ITEMS, objective,
+                                         model_cfg, tiny_training(), mcfg)
+
+    @pytest.mark.parametrize("objective", [None, "grammar"])
     def test_model_and_tokenizer_of_different_sizes_refused(self, no_work, objective):
         model_cfg = tiny_model(vocab_size=120, decoder_layers=0 if objective is None else 1)
         with pytest.raises(ValueError, match="the model is a model of 120 tokens "

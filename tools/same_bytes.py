@@ -17,8 +17,11 @@ every run manifest can match:
 
 Every training run uses dropout 0.1. The script prints the sha256 of every
 artifact the runs wrote, `run_manifest.json` included, under both trees.
-It exits 0 when every artifact is identical, 1 when any differs or exists
-under one tree only, and 2 when a command fails.
+For a `scores.jsonl` that differs it also prints how far: the largest
+absolute and relative difference of `pll_good`, `pll_bad` and `margin`,
+and the number of pairs whose `correct` differs. It exits 0 when every
+artifact is identical, 1 when any differs or exists under one tree only,
+and 2 when a command fails.
 """
 
 from __future__ import annotations
@@ -97,6 +100,25 @@ def write_inputs(directory: Path, rng: random.Random) -> None:
                                 "UID": f"swap_{i % 2}"}) + "\n")
 
 
+def score_differences(parent: Path, change: Path) -> list[str]:
+    """How far two `scores.jsonl` files of the same pairs differ, one line
+    per score field and one for the verdicts; the relative difference of
+    two values is |a - b| / max(|a|, |b|)."""
+    a, b = ([json.loads(line) for line in p.read_text().splitlines()] for p in (parent, change))
+    if len(a) != len(b):
+        return [f"{len(a)} records under parent, {len(b)} under change"]
+    lines = []
+    for field in ("pll_good", "pll_bad", "margin"):
+        pairs = [(x[field], y[field]) for x, y in zip(a, b) if field in x and field in y]
+        diffs = [abs(x - y) for x, y in pairs]
+        rel = [abs(x - y) / max(abs(x), abs(y)) for x, y in pairs if x != y]
+        lines.append(f"{field}: max abs {max(diffs, default=0.0):.3g}, "
+                     f"max rel {max(rel, default=0.0):.3g}")
+    flipped = sum(x.get("correct") != y.get("correct") for x, y in zip(a, b))
+    lines.append(f"correct differs on {flipped} of {len(a)} pairs")
+    return lines
+
+
 def run_tree(root: Path, work: Path) -> dict[str, str]:
     """Run every command under `root`'s src in `work`; sha256 per artifact."""
     env = dict(os.environ, PYTHONPATH=str(root.resolve() / "src"), OPENBLAS_NUM_THREADS="1",
@@ -126,12 +148,16 @@ def main(argv: list[str]) -> int:
         write_inputs(Path(tmp) / INPUTS, random.Random(SEED))
         parent = run_tree(roots[0], Path(tmp) / "parent")
         change = run_tree(roots[1], Path(tmp) / "change")
-    differ = 0
-    for name in sorted(parent.keys() | change.keys()):
-        a, b = parent.get(name, "missing"), change.get(name, "missing")
-        same = a == b
-        differ += not same
-        print(f"{'same' if same else 'DIFFERENT':9} {name}\n  parent {a}\n  change {b}")
+        differ = 0
+        for name in sorted(parent.keys() | change.keys()):
+            a, b = parent.get(name, "missing"), change.get(name, "missing")
+            same = a == b
+            differ += not same
+            print(f"{'same' if same else 'DIFFERENT':9} {name}\n  parent {a}\n  change {b}")
+            if not same and name.endswith("scores.jsonl") and "missing" not in (a, b):
+                for line in score_differences(Path(tmp) / "parent" / name,
+                                              Path(tmp) / "change" / name):
+                    print(f"  {line}")
     print(f"{len(parent.keys() | change.keys()) - differ} identical, {differ} different")
     return 1 if differ else 0
 
